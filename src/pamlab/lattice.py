@@ -136,29 +136,32 @@ def _check_axes(box: Box, axes: Iterable[int]) -> Tuple[int, ...]:
     return axes
 
 
-def _shift_slices(m: int, ax: int, side: int):
+def _shift_slices(m: int, axes: int | Tuple[int, ...], side: int):
     lo = [slice(None)] * m
     hi = [slice(None)] * m
-    lo[ax] = slice(0, side - 1)
-    hi[ax] = slice(1, side)
+    for ax in axes if isinstance(axes, tuple) else (axes,):
+        lo[ax] = slice(0, side - 1)
+        hi[ax] = slice(1, side)
     return tuple(lo), tuple(hi)
 
 
-def lap_grid(g: np.ndarray, axes0: Sequence[int]) -> np.ndarray:
-    """Zero-extended Laplacian of a grid-shaped array over 0-based axes.
+def lap_grid(g: np.ndarray, groups: Sequence[int | Tuple[int, ...]]) -> np.ndarray:
+    """Zero-extended Laplacian of a grid-shaped array over 0-based hop groups.
 
-    Raw-array core of :func:`axis_laplacian`, shared with the eigensolver's
-    matrix-free operator where Field wrappers would cost an extra copy per
-    iteration.
+    Each group is one 0-based axis, or a tuple of axes that a single hop
+    shifts together (the step e_a + e_b + ...); the term of a group is
+    f(x + e_G) + f(x - e_G) - 2 f(x).  Raw-array core of
+    :func:`axis_laplacian`, shared with the eigensolver's matrix-free
+    operator where Field wrappers would cost an extra copy per iteration.
     """
     out = np.zeros_like(g)
     m = g.ndim
     side = g.shape[0]
-    for ax in axes0:
-        lo, hi = _shift_slices(m, ax, side)
+    for group in groups:
+        lo, hi = _shift_slices(m, group, side)
         out[lo] += g[hi]
         out[hi] += g[lo]
-    out -= 2 * len(axes0) * g
+    out -= 2 * len(groups) * g
     return out
 
 

@@ -197,8 +197,14 @@ class PhaseRow:
         )
 
 
-def _auto_radii(m: int, cap_sites: int) -> list[int]:
-    radii = [R for R in range(1, 9) if (2 * R + 1) ** m <= cap_sites]
+def _auto_radii(params: PamParams, cap_sites: int) -> list[int]:
+    """The three largest radii R <= 8 whose solver box fits in cap_sites.
+
+    lambda_spectral solves radius R on the catalyst-frame box of radius 2R,
+    which has (4R+1)^{d(p+n-1)} sites.
+    """
+    m = params.m - params.d
+    radii = [R for R in range(1, 9) if (4 * R + 1) ** m <= cap_sites]
     return radii[-3:] if radii else [0]
 
 
@@ -211,7 +217,7 @@ def _row_job(args) -> PhaseRow:
         kb = kappa_bounds(d, n, p, rho)
         k_lo, k_hi = kb.lower, kb.upper
     try:
-        row_radii = list(radii) if radii else _auto_radii(params.m, cap_sites)
+        row_radii = list(radii) if radii else _auto_radii(params, cap_sites)
         ests = lambda_spectral(params, row_radii, SolverOptions(tol=tol))
         lam = ests[-1].value
         kind = f"spectral(R={ests[-1].radius})"

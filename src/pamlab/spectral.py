@@ -12,6 +12,22 @@ box with zero (Dirichlet) extension restricts the admissible set, so every
 box eigenvalue reported here is a certified lower bound of the full
 exponent, and the estimates are non-decreasing in the box radius.
 
+L_p commutes with shifting all p+n walks at once.  lambda_spectral therefore
+works in the frame of catalyst 1, z = (x_j - y_1, y_k - y_1 for k >= 2) in
+Z^{d(p+n-1)}: there L_p's zero-total-momentum fiber H_0 has walkers hopping
+at rate kappa, catalysts k >= 2 at rate rho, and catalyst 1's moves become
+rate-rho diagonal hops that shift every block at once.  A radius-R estimate
+solves the frame box of radius 2R.  It stays certified, and is never below
+the full box of radius R, because for f on that box each fiber f_k lives in
+the frame box of radius 2R, and <f_k, H_k f_k> <= <|f_k|, H_0 |f_k|> since
+H_k's off-diagonals are H_0's times phases:
+
+    theta_full(R) <= theta_frame(2R) <= sup spec H_0 <= p * lambda_p.
+
+top_eigen keeps the full operator: it is the small-box oracle, the base of
+tensor_gap, and the route on which the swap symmetry
+lambda_p^(n)(kappa, rho) = (n/p) lambda_n^(p)(rho, kappa) is exact per box.
+
 mu(kappa) is the top of the spectrum of kappa*Delta + delta_0 on l^2(Z^d):
 1 for kappa = 0, the root of the resolvent identity
 1 = int_0^inf e^{-mu t} (e^{-2 kappa t} I0(2 kappa t))^d dt for
@@ -38,6 +54,7 @@ from .lattice import (
     Field,
     build_box,
     grad_sq_grid,
+    grad_sq_norm,
     lap_grid,
     norms,
 )
@@ -136,7 +153,9 @@ def _resolvent_minus_one(d: int, kappa: float, m: float, quad_tol: float) -> flo
 
 @lru_cache(maxsize=65536)
 def _mu_cached(d: int, kappa: float, tol: float) -> float:
-    if kappa == 0.0:
+    if 2.0 * d * kappa <= 0.5 * tol:
+        # 1 - 2 d kappa <= mu <= 1 (test function delta_0): 1 within tol/2.
+        # Also keeps the quadrature's m/kappa finite at subnormal kappa.
         return 1.0
     if d >= 3:
         gz = greens.green_zero(d, min(tol, 1e-10)).value
@@ -148,16 +167,19 @@ def _mu_cached(d: int, kappa: float, tol: float) -> float:
         return 0.5 * lo  # root below the resolution floor; equivalent to 0 at tol
     root = brentq(lambda m: _resolvent_minus_one(d, kappa, m, quad_tol),
                   lo, hi, xtol=0.5 * tol, rtol=4 * np.finfo(float).eps)
-    return float(root)
+    # the root-find's error may overshoot the theorem bound mu <= 1 at tiny kappa
+    return min(float(root), 1.0)
 
 
 def mu(d: int, kappa: float, tol: float = 1e-10) -> float:
     """Top of the spectrum of kappa*Delta + delta_0 on l^2(Z^d).
 
-    Exactly 1 at kappa = 0; exactly 0 for kappa >= G_d(0) (d >= 3); otherwise
+    Exactly 1 for kappa <= tol/(4d), where 1 - 2 d kappa <= mu <= 1 already
+    pins it within tol/2; exactly 0 for kappa >= G_d(0) (d >= 3); otherwise
     the unique positive root of the diagonal resolvent identity, found by
     bracketed root-finding over [tol/2, 1 + 4 d kappa] on certified quadrature
-    values.  Continuous, non-increasing and convex in kappa.
+    values and clamped to [0, 1].  Continuous, non-increasing and convex in
+    kappa.
     """
     if d < 1:
         raise ValueError(f"dimension must be >= 1, got d={d}")
@@ -211,34 +233,67 @@ def mu_inverse(d: int, t: float, tol: float = 1e-10) -> float:
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=32)
-def _collision_counts(d: int, n: int, p: int, radius: int) -> np.ndarray:
-    """I_p as a flat vector over the box: number of (j,k) with x_j = y_k."""
-    m = d * (p + n)
+def _collision_counts(d: int, pairs: tuple[tuple[int, int | None], ...], m: int,
+                      radius: int) -> np.ndarray:
+    """I_p as a flat vector over the box: the number of colliding block pairs.
+
+    The box coordinates form m/d blocks of d axes; a pair (a, b) collides
+    where block a equals block b, or where block a is 0 when b is None.
+    """
     L = 2 * radius + 1
     coords = np.arange(-radius, radius + 1)
+
+    def coord(block: int, i: int) -> np.ndarray:
+        shape = [1] * m
+        shape[block * d + i] = L
+        return coords.reshape(shape)
+
     counts = np.zeros((L,) * m, dtype=np.float64)
-    for j in range(p):
-        for k in range(n):
-            eq = np.bool_(True)
-            for i in range(d):
-                ax_x = j * d + i
-                ax_y = (p + k) * d + i
-                shape_x = [1] * m
-                shape_x[ax_x] = L
-                shape_y = [1] * m
-                shape_y[ax_y] = L
-                eq = eq & (coords.reshape(shape_x) == coords.reshape(shape_y))
-            counts += eq
+    for a, b in pairs:
+        eq = np.bool_(True)
+        for i in range(d):
+            eq = eq & (coord(a, i) == (0 if b is None else coord(b, i)))
+        counts += eq
     out = counts.reshape(-1, order="F")
     out.flags.writeable = False
     return out
 
 
-def _axis_groups(params: PamParams) -> tuple[tuple[int, ...], tuple[int, ...]]:
+class _Operator(NamedTuple):
+    """L_p, or its catalyst-frame fiber, restricted to a Dirichlet box.
+
+    hops lists (rate, hop groups) for lap_grid; pairs lists the colliding
+    coordinate blocks for _collision_counts.
+    """
+
+    params: PamParams
+    box: Box
+    hops: tuple[tuple[float, tuple], ...]
+    pairs: tuple[tuple[int, int | None], ...]
+
+
+def _operator(params: PamParams, radius: int, frame: bool = False) -> _Operator:
+    """The operator on the radius box, in full or catalyst-frame coordinates.
+
+    Full coordinates are (x_1..x_p, y_1..y_n) in Z^{d(p+n)}, one rate-kappa
+    or rate-rho hop per axis.  Catalyst-frame coordinates are
+    z = (x_j - y_1, y_k - y_1 for k >= 2) in Z^{d(p+n-1)}: a move of
+    catalyst 1 shifts every block at once, so it becomes d rate-rho diagonal
+    hops, and catalyst 1 sits at z = 0.
+    """
     d, n, p = params.d, params.n, params.p
-    x_axes = tuple(range(d * p))            # 0-based
-    y_axes = tuple(range(d * p, d * (p + n)))
-    return x_axes, y_axes
+    blocks = p + n - 1 if frame else p + n
+    kappa_hops = tuple(range(d * p))
+    rho_hops = tuple(range(d * p, d * blocks))
+    if frame:
+        rho_hops += tuple(tuple(b * d + i for b in range(blocks)) for i in range(d))
+        pairs = tuple((j, None) for j in range(p)) + tuple(
+            (j, p + k) for j in range(p) for k in range(n - 1))
+    else:
+        pairs = tuple((j, p + k) for j in range(p) for k in range(n))
+    box = build_box(d * blocks, radius)
+    return _Operator(params, box, ((params.kappa, kappa_hops), (params.rho, rho_hops)),
+                     pairs)
 
 
 def apply_generator(params: PamParams, f: Field) -> Field:
@@ -246,20 +301,17 @@ def apply_generator(params: PamParams, f: Field) -> Field:
     if f.box.m != params.m:
         raise DimensionMismatchError(
             f"field lives on an m={f.box.m} box, operator needs m=d(p+n)={params.m}")
-    out = _apply_flat(params, f.box, f.values)
+    out = _apply_flat(_operator(params, f.box.radius), f.values)
     return Field(f.box, out)
 
 
-def _apply_flat(params: PamParams, box: Box, v: np.ndarray,
-                shift: float = 0.0) -> np.ndarray:
-    ip = _collision_counts(params.d, params.n, params.p, box.radius)
+def _apply_flat(op: _Operator, v: np.ndarray, shift: float = 0.0) -> np.ndarray:
+    ip = _collision_counts(op.params.d, op.pairs, op.box.m, op.box.radius)
     out = (ip + shift) * v if shift else ip * v
-    x_axes, y_axes = _axis_groups(params)
-    g = v.reshape(box.shape, order="F")
-    if params.kappa:
-        out += params.kappa * lap_grid(g, x_axes).reshape(-1, order="F")
-    if params.rho:
-        out += params.rho * lap_grid(g, y_axes).reshape(-1, order="F")
+    g = v.reshape(op.box.shape, order="F")
+    for rate, groups in op.hops:
+        if rate:
+            out += rate * lap_grid(g, groups).reshape(-1, order="F")
     return out
 
 
@@ -273,22 +325,22 @@ def _start_vector(box: Box) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
-def _dense_top(params: PamParams, box: Box, shift: float) -> tuple[float, np.ndarray, float]:
-    size = box.size
+def _dense_top(op: _Operator, shift: float) -> tuple[float, np.ndarray, float]:
+    size = op.box.size
     A = np.empty((size, size))
     e = np.zeros(size)
     for i in range(size):
         e[i] = 1.0
-        A[:, i] = _apply_flat(params, box, e, shift)
+        A[:, i] = _apply_flat(op, e, shift)
         e[i] = 0.0
     w, V = np.linalg.eigh(A)
     theta = float(w[-1])
     vec = V[:, -1]
-    res = float(np.linalg.norm(_apply_flat(params, box, vec, shift) - theta * vec))
+    res = float(np.linalg.norm(_apply_flat(op, vec, shift) - theta * vec))
     return theta, vec, res
 
 
-def _restarted_lanczos(params: PamParams, box: Box, shift: float,
+def _restarted_lanczos(op: _Operator, shift: float,
                        opts: SolverOptions, v0: np.ndarray,
                        budget: int) -> tuple[float, np.ndarray, float, bool]:
     """Lanczos with full reorthogonalization, restarting from the top Ritz vector.
@@ -307,7 +359,7 @@ def _restarted_lanczos(params: PamParams, box: Box, shift: float,
         betas: list[float] = []
         broke_down = False
         while len(alphas) < opts.basis_size and matvecs < budget:
-            w = _apply_flat(params, box, V[-1], shift)
+            w = _apply_flat(op, V[-1], shift)
             matvecs += 1
             a = float(np.dot(V[-1], w))
             alphas.append(a)
@@ -329,7 +381,7 @@ def _restarted_lanczos(params: PamParams, box: Box, shift: float,
         y = evecs[:, 0]
         u = sum(y[i] * V[i] for i in range(k))
         u /= np.linalg.norm(u)
-        res = float(np.linalg.norm(_apply_flat(params, box, u, shift) - theta * u))
+        res = float(np.linalg.norm(_apply_flat(op, u, shift) - theta * u))
         matvecs += 1
         if res <= opts.tol:
             return theta, u, res, True
@@ -342,7 +394,7 @@ def _restarted_lanczos(params: PamParams, box: Box, shift: float,
     return theta, u, res, False
 
 
-def _krylov_top(params: PamParams, box: Box, shift: float,
+def _krylov_top(op: _Operator, shift: float,
                 opts: SolverOptions) -> tuple[float, np.ndarray, float, bool]:
     """Implicitly-restarted Lanczos (ARPACK) plus explicit residual certification.
 
@@ -356,12 +408,13 @@ def _krylov_top(params: PamParams, box: Box, shift: float,
     def matvec(x):
         nonlocal mv_count
         mv_count += 1
-        return _apply_flat(params, box, np.asarray(x, dtype=np.float64).ravel(), shift)
+        return _apply_flat(op, np.asarray(x, dtype=np.float64).ravel(), shift)
 
+    box = op.box
     A = LinearOperator((box.size, box.size), matvec=matvec, dtype=np.float64)
     v0 = _start_vector(box)
     ncv = min(opts.basis_size, box.size - 1)
-    scale = shift + params.n * params.p + 1.0
+    scale = shift + op.params.n * op.params.p + 1.0
     theta, u = None, None
     try:
         w, V = eigsh(A, k=1, which="LA", v0=v0, ncv=ncv,
@@ -372,12 +425,12 @@ def _krylov_top(params: PamParams, box: Box, shift: float,
         if len(exc.eigenvalues):
             theta, u = float(exc.eigenvalues[0]), exc.eigenvectors[:, 0]
     if u is None:
-        return _restarted_lanczos(params, box, shift, opts, v0, opts.max_iters)
-    res = float(np.linalg.norm(_apply_flat(params, box, u, shift) - theta * u))
+        return _restarted_lanczos(op, shift, opts, v0, opts.max_iters)
+    res = float(np.linalg.norm(_apply_flat(op, u, shift) - theta * u))
     if res <= opts.tol:
         return theta, u, res, True
     remaining = max(opts.max_iters - mv_count, 2 * opts.basis_size)
-    return _restarted_lanczos(params, box, shift, opts, u, remaining)
+    return _restarted_lanczos(op, shift, opts, u, remaining)
 
 
 def top_eigen(params: PamParams, R: int, opts: SolverOptions | None = None
@@ -391,24 +444,28 @@ def top_eigen(params: PamParams, R: int, opts: SolverOptions | None = None
     return est
 
 
-def _top_eigen_vec(params: PamParams, R: int, opts: SolverOptions | None = None
-                   ) -> tuple[LyapunovEstimate, np.ndarray]:
+def _top_eigen_vec(params: PamParams, R: int, opts: SolverOptions | None = None,
+                   frame: bool = False) -> tuple[LyapunovEstimate, np.ndarray]:
+    """Top eigenpair on the full radius-R box, or on the catalyst-frame box of
+    radius 2R when frame is set; the estimate's radius is R either way."""
     opts = opts or SolverOptions()
-    box = build_box(params.m, R)
+    op = _operator(params, 2 * R if frame else R, frame)
+    # 4 * (sum of hop rates), the same in both frames: makes L_p + shift >= 0
     shift = 4.0 * params.d * (params.p * params.kappa + params.n * params.rho)
-    if box.size <= opts.dense_cutoff:
-        theta, vec, res = _dense_top(params, box, shift)
-        converged = True
+    if op.box.size <= opts.dense_cutoff:
+        theta, vec, res = _dense_top(op, shift)
+        converged = res <= opts.tol
+        how = "by dense diagonalization"
     else:
-        theta, vec, res, converged = _krylov_top(params, box, shift, opts)
+        theta, vec, res, converged = _krylov_top(op, shift, opts)
+        how = f"within {opts.max_iters} operator applications"
     value = (theta - shift) / params.p
     est = LyapunovEstimate(params=params, value=value, kind="spectral",
                            error=res / params.p, radius=R, converged=converged)
     if not converged:
         raise ConvergenceError(
-            f"eigensolver did not reach residual {opts.tol:g} within "
-            f"{opts.max_iters} operator applications (best value {value:.12g}, "
-            f"residual {res:.3g})", best=est, residual=res)
+            f"eigensolver did not reach residual {opts.tol:g} {how} "
+            f"(best value {value:.12g}, residual {res:.3g})", best=est, residual=res)
     return est, vec
 
 
@@ -416,6 +473,8 @@ def lambda_spectral(params: PamParams, radii: Sequence[int],
                     opts: SolverOptions | None = None) -> list[LyapunovEstimate]:
     """Box estimates over strictly increasing radii.
 
+    Radius R is solved on the catalyst-frame box of radius 2R (see the
+    module docstring), which is at least the full radius-R box value.
     Values are non-decreasing in R (nested admissible sets) and each is a
     certified lower bound; the final entry's ``converged`` flag records
     whether the last increment fell below the solver tolerance.
@@ -426,7 +485,7 @@ def lambda_spectral(params: PamParams, radii: Sequence[int],
     if any(b <= a for a, b in zip(radii, radii[1:])):
         raise ValueError(f"radii must be strictly increasing, got {radii}")
     opts = opts or SolverOptions()
-    out = [top_eigen(params, R, opts) for R in radii]
+    out = [_top_eigen_vec(params, R, opts, frame=True)[0] for R in radii]
     if len(out) >= 2:
         settled = abs(out[-1].value - out[-2].value) < opts.tol
         out[-1] = replace(out[-1], converged=settled)
@@ -492,8 +551,7 @@ def tensor_gap(params: PamParams, R: int, opts: SolverOptions | None = None) -> 
     # independent route: materialize f~ and apply the p=2 operator
     f2 = np.einsum("ay,by->aby", M, M).reshape(-1, order="F")
     params2 = PamParams(d=d, n=n, p=2, kappa=params.kappa, rho=params.rho)
-    box2 = build_box(params2.m, R)
-    lf2 = _apply_flat(params2, box2, f2)
+    lf2 = _apply_flat(_operator(params2, R), f2)
     rayleigh2 = float(np.dot(f2, lf2)) / (2.0 * norm_sq)
 
     lam1 = est.value
@@ -522,14 +580,10 @@ def check_gn(f: Field, d: int) -> tuple[float, float, bool]:
         raise DimensionMismatchError(
             f"field lives on an m={f.box.m} box, expected m=d={d}")
     l2, l4, linf = norms(f)
-    grad = math.sqrt(grad_sq_norm_all(f))
+    grad = math.sqrt(grad_sq_norm(f, range(1, d + 1)))
     lhs = linf ** 2 if d == 1 else l4 ** 2
     rhs = 2.0 * l2 * grad
     return lhs, rhs, lhs <= rhs
-
-
-def grad_sq_norm_all(f: Field) -> float:
-    return grad_sq_grid(f.grid(), range(f.box.m))
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from pamlab import greens
@@ -27,6 +29,7 @@ from pamlab.spectral import (
     tensor_gap,
     top_eigen,
 )
+from pamlab.spectral import _apply_flat, _operator
 
 
 def mu1(kappa: float) -> float:
@@ -67,6 +70,36 @@ def naive_apply(params: PamParams, box: Box, vec: np.ndarray) -> np.ndarray:
     return out
 
 
+def naive_frame_apply(params: PamParams, box: Box, vec: np.ndarray) -> np.ndarray:
+    """The operator in the frame of catalyst 1, site by site.
+
+    Blocks are z_j = x_j - y_1 (j <= p) and z_k = y_k - y_1 (k >= 2); each
+    block axis hops alone, and a catalyst-1 move shifts all blocks at once.
+    """
+    d, n, p = params.d, params.n, params.p
+    out = np.zeros(box.size)
+    moves = [(params.kappa if ax < d * p else params.rho, [ax]) for ax in range(box.m)]
+    moves += [(params.rho, list(range(c, box.m, d))) for c in range(d)]
+
+    def value(site):
+        return vec[box.index(site)] if max(map(abs, site)) <= box.radius else 0.0
+
+    for i in range(box.size):
+        site = box.site(i)
+        xs = [site[j * d:(j + 1) * d] for j in range(p)]
+        ys = [(0,) * d] + [site[(p + k) * d:(p + k + 1) * d] for k in range(n - 1)]
+        ip = sum(1 for a in xs for b in ys if a == b)
+        acc = float(ip) * vec[i]
+        for nu, axes in moves:
+            for sg in (1, -1):
+                nb = list(site)
+                for ax in axes:
+                    nb[ax] += sg
+                acc += nu * (value(nb) - vec[i])
+        out[i] = acc
+    return out
+
+
 # ---------------------------------------------------------------------------
 # mu
 # ---------------------------------------------------------------------------
@@ -96,6 +129,24 @@ def test_mu_monotone_convex():
         assert all(a > b for a, b in zip(vals, vals[1:]))          # strictly down
         for i in range(1, len(vals) - 1):
             assert vals[i] <= 0.5 * (vals[i - 1] + vals[i + 1]) + 1e-9
+
+
+def test_mu_at_most_one_at_tiny_kappa():
+    assert mu(1, 1e-12) == 1.0
+
+
+@settings(max_examples=25, deadline=None)
+@given(d=st.integers(1, 4), kappa=st.floats(0.0, 3.0))
+def test_mu_in_unit_interval(d, kappa):
+    assert 0.0 <= mu(d, kappa) <= 1.0
+
+
+@settings(max_examples=25, deadline=None)
+@given(d=st.integers(1, 4), k1=st.floats(0.0, 2.0), k2=st.floats(0.0, 2.0))
+def test_mu_non_increasing_in_kappa(d, k1, k2):
+    lo, hi = min(k1, k2), max(k1, k2)
+    # up to the solver tolerance, as in the other mu-bound checks
+    assert mu(d, hi) <= mu(d, lo) + 1e-9
 
 
 def test_mu_validation():
@@ -165,6 +216,18 @@ def test_apply_matches_naive_oracle(d, n, p, R):
     assert np.allclose(got, naive_apply(params, box, v), atol=1e-12)
 
 
+@pytest.mark.parametrize("d,n,p,R", [(1, 1, 1, 2), (1, 2, 1, 1), (1, 1, 2, 1),
+                                     (2, 1, 1, 1), (2, 2, 1, 1)])
+def test_frame_apply_matches_naive_oracle(d, n, p, R):
+    params = PamParams(d=d, n=n, p=p, kappa=0.35, rho=0.15)
+    op = _operator(params, R, frame=True)
+    assert op.box.m == d * (p + n - 1)
+    rng = np.random.Generator(np.random.Philox(key=np.uint64(d * 11 + n + 5 * p)))
+    v = rng.standard_normal(op.box.size)
+    assert np.allclose(_apply_flat(op, v), naive_frame_apply(params, op.box, v),
+                       atol=1e-12)
+
+
 def test_apply_self_adjoint():
     params = PamParams(d=1, n=2, p=1, kappa=0.2, rho=0.7)
     box = build_box(params.m, 1)
@@ -219,6 +282,37 @@ def test_lambda_spectral_approaches_mu_sum():
     est = lambda_spectral(params, [8, 16])[-1]
     assert est.value == pytest.approx(mu1(0.5), abs=2e-2)
     assert est.value <= mu1(0.5) + 1e-12          # certified lower bound
+
+
+@pytest.mark.parametrize("d,R", [(1, 2), (2, 1)])
+@pytest.mark.parametrize("n,p", [(1, 1), (1, 2), (2, 1), (2, 2)])
+def test_lambda_spectral_not_below_full_box(d, R, n, p):
+    # theta_full(R) <= theta_frame(2R): each total-momentum fiber of a
+    # function on the full box lives in the frame box of radius 2R
+    params = PamParams(d=d, n=n, p=p, kappa=0.3, rho=0.2)
+    est = lambda_spectral(params, [R])[-1]
+    assert est.radius == R
+    assert est.value >= top_eigen(params, R).value - 1e-9
+
+
+def test_lambda_spectral_frame_closed_form():
+    est = lambda_spectral(PamParams(d=1, n=1, p=1, kappa=0.25, rho=0.25), [8])[-1]
+    assert est.value == pytest.approx(math.sqrt(2.0) - 1.0, abs=1e-8)
+
+
+def test_lambda_spectral_d3_beats_old_full_box():
+    # 0.43101842764 is the full-box value at R=1 (15,625 frame sites vs 19,683)
+    est = lambda_spectral(PamParams(d=3, n=1, p=2, kappa=0.05, rho=0.1), [1])[-1]
+    assert est.value >= 0.43101842764
+
+
+@settings(max_examples=15, deadline=None)
+@given(n=st.integers(1, 2), p=st.integers(1, 2),
+       kappa=st.floats(0.05, 1.0), rho=st.floats(0.05, 1.0))
+def test_lambda_spectral_below_mu_bound(n, p, kappa, rho):
+    # box value <= lambda_p <= n min(mu(kappa/n), mu(rho/p)) (d=1)
+    est = lambda_spectral(PamParams(d=1, n=n, p=p, kappa=kappa, rho=rho), [2])[-1]
+    assert est.value <= n * min(mu(1, kappa / n), mu(1, rho / p)) + 1e-9
 
 
 def test_lambda_spectral_radii_validation():
@@ -287,6 +381,19 @@ def test_convergence_error_carries_best():
     assert "best value" in str(err)
     # even the failed iterate is a Rayleigh quotient: still a lower bound
     assert err.best.value <= mu1(0.5) + 1e-9
+
+
+def test_dense_path_certifies_residual():
+    # 65-site frame box: solved densely, residual ~1e-15 cannot reach 1e-16
+    params = PamParams(d=1, n=1, p=1, kappa=0.25, rho=0.25)
+    with pytest.raises(ConvergenceError) as exc:
+        lambda_spectral(params, [16], SolverOptions(tol=1e-16))
+    err = exc.value
+    assert not err.best.converged and err.best.radius == 16
+    assert err.residual > 1e-16
+    assert err.best.value == pytest.approx(math.sqrt(2.0) - 1.0, abs=1e-8)
+    with pytest.raises(ConvergenceError):
+        top_eigen(params, 2, SolverOptions(tol=1e-16))      # 25-site full box
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ import numpy as np
 from . import __version__, greens
 from .lattice import Field, build_box
 from .montecarlo import lambda_mc
-from .phase import PHASE_CSV_HEADER, sweep
+from .phase import PHASE_CSV_HEADER, sweep, write_atomic
 from .spectral import (
     ConvergenceError,
     PamParams,
@@ -391,19 +391,20 @@ def _emit(command: str, cfg: dict, result: CommandResult,
         if not out:
             raise CliParamError("--format csv requires --out")
         import csv as _csv
+        import io
 
-        with open(out, "w", newline="") as fh:
-            writer = _csv.writer(fh, lineterminator="\n")
-            writer.writerow(result.csv_header)
-            writer.writerows(result.csv_rows)
+        buf = io.StringIO()
+        writer = _csv.writer(buf, lineterminator="\n")
+        writer.writerow(result.csv_header)
+        writer.writerows(result.csv_rows)
+        write_atomic(out, buf.getvalue())
         _write_manifest(out, manifest)
         print(f"wrote {out}")
         return
     document = {"manifest": manifest, "result": _jsonable(result.payload)}
     blob = json.dumps(document, indent=2, sort_keys=True)
     if out:
-        with open(out, "w") as fh:
-            fh.write(blob + "\n")
+        write_atomic(out, blob + "\n")
         print(f"wrote {out}")
     elif fmt == "json":
         print(blob)
@@ -412,9 +413,8 @@ def _emit(command: str, cfg: dict, result: CommandResult,
 
 
 def _write_manifest(out: str, manifest: dict) -> None:
-    with open(out + ".manifest.json", "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_atomic(out + ".manifest.json",
+                 json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
 def main(argv: Sequence[str] | None = None) -> int:

@@ -388,11 +388,14 @@ def alpha(d: int, tol: float = 1e-9) -> GreenEstimate:
 # ---------------------------------------------------------------------------
 
 def green_box_values(d: int, radius: int, tol: float = 1e-9) -> np.ndarray:
-    """G_d(x) for every x in {-R,...,R}^d, as an array of shape (2R+1,)*d.
+    """G_d(x) for every x in {-R,...,R}^d, as a C-contiguous array of shape
+    (2R+1,)*d.
 
     All sites share one quadrature grid; distinct values are computed once per
     multiset of |coordinates| and scattered by a sorted-key lookup, so the
-    cost is ~C(R+d, d) integrals rather than (2R+1)^d.
+    cost is ~C(R+d, d) integrals rather than (2R+1)^d.  The lookup runs one
+    (2R+1)^(d-1) slab at a time, so its index arrays stay a factor 2R+1
+    smaller than the result.
     """
     if d <= 2:
         raise ValueError(f"G_d diverges for d={d} <= 2")
@@ -420,15 +423,17 @@ def green_box_values(d: int, radius: int, tol: float = 1e-9) -> np.ndarray:
         mid, _ = _tail_bracket(ks, 0, 0.0, T)
         table[ks] = float(prod.sum()) + mid
 
-    # scatter by sorted |coordinate| key, vectorized over the whole cube
+    # scatter by sorted |coordinate| key, one slab of the first axis at a time;
+    # slabs i and L-1-i hold the same values
     absk = np.abs(np.arange(-radius, radius + 1)).astype(np.int16)
-    idx = np.unravel_index(np.arange(L ** d), (L,) * d, order="F")
-    keys = np.stack([absk[i] for i in idx], axis=1)
-    del idx
-    keys.sort(axis=1)
+    idx = np.unravel_index(np.arange(L ** (d - 1)), (L,) * (d - 1))
+    rest = np.stack([absk[i] for i in idx], axis=1)
     strides = np.array([(radius + 1) ** j for j in range(d - 1, -1, -1)], dtype=np.int64)
-    codes = keys.astype(np.int64) @ strides
-    del keys
-    flat = table.ravel()[codes]
-    del codes
-    return flat.reshape((L,) * d, order="F")
+    flat_table = table.ravel()
+    out = np.empty((L,) * d)
+    for k in range(radius + 1):
+        keys = np.concatenate([np.full((len(rest), 1), k, dtype=np.int16), rest], axis=1)
+        keys.sort(axis=1)
+        slab = flat_table[keys.astype(np.int64) @ strides].reshape((L,) * (d - 1))
+        out[radius + k] = out[radius - k] = slab
+    return out

@@ -254,6 +254,32 @@ def _grid_digest(jobs) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
+def write_atomic(path: str, text: str) -> None:
+    """Replace the file at path by text, so a crash leaves the old or the new
+    content, never a mix (no fsync: it guards a killed process, not power loss)."""
+    tmp = path + ".tmp"
+    with open(tmp, "w", newline="") as fh:
+        fh.write(text)
+    os.replace(tmp, path)
+
+
+def _resume_offset(cursor_path: str, out: str, digest: str) -> tuple[int, int]:
+    """(rows_done, CSV byte offset) of a resumable sweep, or (0, 0) to start fresh.
+
+    A missing or unreadable cursor, one for another grid, and one that points
+    past the end of the CSV are all stale.
+    """
+    try:
+        with open(cursor_path) as fh:
+            state = json.load(fh)
+        rows_done, offset = int(state["rows_done"]), int(state["offset"])
+        if state["grid"] != digest or not 0 < offset <= os.path.getsize(out):
+            return 0, 0
+    except (OSError, ValueError, KeyError, TypeError):
+        return 0, 0
+    return rows_done, offset
+
+
 def sweep(d: int, n: int, p_values: Sequence[int], kappas: Sequence[float],
           rhos: Sequence[float], out: str, *, radii: Sequence[int] | None = None,
           cap_sites: int = 600_000, tol: float = 1e-8, workers: int = 1,
@@ -261,10 +287,13 @@ def sweep(d: int, n: int, p_values: Sequence[int], kappas: Sequence[float],
     """Evaluate the (kappa, rho, p) grid into a CSV at ``out``.
 
     Rows are ordered by (kappa, rho, p); failures are isolated per row
-    (lambda_est empty, regime Unresolved).  A sidecar ``<out>.cursor`` records
-    progress; with resume=True a matching interrupted sweep continues after
-    its last completed row.  Worker processes split rows; the file is written
-    in grid order regardless of completion order.
+    (lambda_est empty, regime Unresolved).  A sidecar ``<out>.cursor``,
+    replaced atomically after every row, records the rows done and the CSV's
+    byte length at that point; with resume=True a matching interrupted sweep
+    cuts the CSV back to that length and continues after its last recorded
+    row, so the finished file equals an uninterrupted sweep's.  An unreadable
+    cursor starts a fresh sweep.  Worker processes split rows; the file is
+    written in grid order regardless of completion order.
     """
     for name, vals in (("p_values", p_values), ("kappas", kappas), ("rhos", rhos)):
         if len(vals) == 0:
@@ -277,12 +306,9 @@ def sweep(d: int, n: int, p_values: Sequence[int], kappas: Sequence[float],
     digest = _grid_digest(jobs)
     cursor_path = out + ".cursor"
 
-    done = 0
-    if resume and os.path.exists(cursor_path) and os.path.exists(out):
-        with open(cursor_path) as fh:
-            state = json.load(fh)
-        if state.get("grid") == digest:
-            done = int(state.get("rows_done", 0))
+    done, offset = _resume_offset(cursor_path, out, digest) if resume else (0, 0)
+    if done:
+        os.truncate(out, offset)
 
     mode = "a" if done else "w"
     rows: list[PhaseRow] = []
@@ -304,8 +330,9 @@ def sweep(d: int, n: int, p_values: Sequence[int], kappas: Sequence[float],
                 writer.writerow(row.csv_fields())
                 fh.flush()
                 done += 1
-                with open(cursor_path, "w") as cf:
-                    json.dump({"grid": digest, "rows_done": done}, cf)
+                offset = os.fstat(fh.fileno()).st_size
+                write_atomic(cursor_path, json.dumps(
+                    {"grid": digest, "rows_done": done, "offset": offset}))
         finally:
             if pool is not None:
                 pool.shutdown()

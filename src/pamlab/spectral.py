@@ -194,22 +194,23 @@ def mu(d: int, kappa: float, tol: float = 1e-10) -> float:
 def _mu_inverse_cached(d: int, t: float, tol: float) -> float:
     if t >= 1.0:
         return 0.0
+    if d <= 2 and t == 0.0:
+        raise ValueError(
+            f"mu_inverse(d={d}, 0) diverges: G_d(0) is infinite for d <= 2")
+    quad_tol = min(1e-12, 0.01 * tol)
+    f = lambda k: _resolvent_minus_one(d, k, t, quad_tol)
     if d >= 3:
         hi = greens.green_zero(d, min(tol, 1e-10)).value
+        if t == 0.0 or f(hi) > 0.0:
+            return hi
     else:
-        if t == 0.0:
-            raise ValueError(
-                f"mu_inverse(d={d}, 0) diverges: G_d(0) is infinite for d <= 2")
         hi = 1.0
-        while mu(d, hi, tol) > t:
+        while f(hi) > 0.0:  # mu(d, hi) > t
             hi *= 2.0
-    if t == 0.0:
-        return hi
-    mu_tol = min(tol, 1e-10, 0.01 * t)
-    f = lambda k: mu(d, k, mu_tol) - t
-    if f(hi) > 0.0:
-        return hi
-    root = brentq(f, 0.0, hi, xtol=0.5 * tol, rtol=4 * np.finfo(float).eps)
+    lo = 0.25 * tol / d  # f divides by kappa; below lo, mu is 1 within tol/2
+    if f(lo) < 0.0:
+        return 0.5 * lo  # root below the resolution floor; equivalent to 0 at tol
+    root = brentq(f, lo, hi, xtol=0.5 * tol, rtol=4 * np.finfo(float).eps)
     return float(root)
 
 
@@ -218,6 +219,17 @@ def mu_inverse(d: int, t: float, tol: float = 1e-10) -> float:
 
     For t in [0, 1] returns the unique kappa in [0, G_d(0)] with
     mu(d, kappa) = t (d >= 3); mu_inverse(d, 0) diverges for d <= 2.
+
+    One bracketed root-find in kappa on the resolvent identity at m = t,
+
+        int_0^inf e^{-t s} (e^{-2 kappa s} I0(2 kappa s))^d ds - 1 = 0,
+
+    with no inner root-find over m.  The residual is strictly decreasing in
+    kappa, because e^{-x} I0(x) is strictly decreasing in x, and it tends to
+    1/t - 1 > 0 as kappa -> 0; so it has one root, and mu(d, kappa) > t
+    exactly where it is positive.  The bracket is [tol/(4d), G_d(0)] for
+    d >= 3 and [tol/(4d), 2^j] for d <= 2, doubling until the residual
+    turns negative.
     """
     if d < 1:
         raise ValueError(f"dimension must be >= 1, got d={d}")

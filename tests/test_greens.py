@@ -303,6 +303,36 @@ def test_box_values_match_pointwise():
         assert g[idx] == pytest.approx(green_at(3, site).value, abs=1e-10)
 
 
+def old_cube_scatter(table: np.ndarray, radius: int) -> np.ndarray:
+    """The whole-cube scatter: table[sorted |x|] for every site x at once, F order."""
+    d = table.ndim
+    L = 2 * radius + 1
+    absk = np.abs(np.arange(-radius, radius + 1)).astype(np.int16)
+    idx = np.unravel_index(np.arange(L ** d), (L,) * d, order="F")
+    keys = np.stack([absk[i] for i in idx], axis=1)
+    keys.sort(axis=1)
+    strides = np.array([(radius + 1) ** j for j in range(d - 1, -1, -1)], dtype=np.int64)
+    codes = keys.astype(np.int64) @ strides
+    return table.ravel()[codes].reshape((L,) * d, order="F")
+
+
+@pytest.mark.parametrize("d, R", [(3, 0), (3, 1), (3, 3), (4, 2), (5, 1), (6, 1)])
+def test_box_values_slab_scatter_matches_cube_scatter(d, R):
+    g = green_box_values(d, R)
+    assert g.flags.c_contiguous and np.shares_memory(g, g.reshape(-1))
+    # the nonnegative orthant holds the table at every sorted-key index
+    table = g[(slice(R, None),) * d]
+    assert np.array_equal(g, old_cube_scatter(table, R))
+
+
+def test_box_values_off_axis_sites():
+    R = 3
+    g = green_box_values(4, R)
+    for site in ((1, -2, 0, 3), (-3, 3, -1, 2), (2, 0, -1, 0), (-1, -1, -1, -1)):
+        idx = tuple(c + R for c in site)
+        assert g[idx] == pytest.approx(green_at(4, site).value, abs=1e-10)
+
+
 def test_box_values_d5():
     g = green_box_values(5, 1)
     assert g.shape == (3,) * 5

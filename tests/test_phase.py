@@ -224,6 +224,92 @@ def test_sweep_stale_cursor_forces_rewrite(tmp_path):
     assert not os.path.exists(str(out) + ".cursor")
 
 
+_CRASH_GRID = dict(d=1, n=1, p_values=[1], kappas=[0.05, 0.15, 0.25], rhos=[0.2],
+                   radii=[1, 2])
+
+
+def crash_sweep(out, **kw):
+    g = _CRASH_GRID
+    return sweep(g["d"], g["n"], g["p_values"], g["kappas"], g["rhos"], str(out),
+                 radii=g["radii"], **kw)
+
+
+@pytest.fixture(scope="module")
+def uninterrupted_bytes(tmp_path_factory):
+    out = tmp_path_factory.mktemp("reference") / "grid.csv"
+    crash_sweep(out)
+    return out.read_bytes()
+
+
+# where a crash lands: before a row is computed, after its CSV line is flushed
+# but before the cursor is written, and after the cursor's temp file is
+# written but before it replaces the cursor
+_CRASH_POINTS = {"row": (phase, "_row_job"), "cursor": (phase, "write_atomic"),
+                 "replace": (os, "replace")}
+
+
+def crash_at(monkeypatch, point, call):
+    target, name = _CRASH_POINTS[point]
+    real = getattr(target, name)
+    calls = {"i": 0}
+
+    def crashing(*args):
+        calls["i"] += 1
+        if calls["i"] == call:
+            raise KeyboardInterrupt
+        return real(*args)
+
+    monkeypatch.setattr(target, name, crashing)
+
+
+@pytest.mark.parametrize("point", sorted(_CRASH_POINTS))
+@pytest.mark.parametrize("call", [1, 2, 3])
+def test_sweep_resume_is_byte_identical_after_crash(tmp_path, monkeypatch,
+                                                    uninterrupted_bytes, point, call):
+    out = tmp_path / "grid.csv"
+    with monkeypatch.context() as m:
+        crash_at(m, point, call)
+        with pytest.raises(KeyboardInterrupt):
+            crash_sweep(out)
+    rows = crash_sweep(out, resume=True)
+    assert out.read_bytes() == uninterrupted_bytes
+    assert not os.path.exists(str(out) + ".cursor")
+    # the row whose cursor update was lost is computed again
+    assert len(rows) == 3 - (call - 1)
+
+
+@pytest.mark.parametrize("cursor", ['{"grid": "', "", "[1, 2]",
+                                    '{"grid": "x", "rows_done": 1}'])
+def test_sweep_unreadable_cursor_starts_fresh(tmp_path, monkeypatch,
+                                              uninterrupted_bytes, cursor):
+    out = tmp_path / "grid.csv"
+    with monkeypatch.context() as m:
+        crash_at(m, "row", 3)
+        with pytest.raises(KeyboardInterrupt):
+            crash_sweep(out)
+    with open(str(out) + ".cursor", "w") as fh:
+        fh.write(cursor)
+    rows = crash_sweep(out, resume=True)
+    assert len(rows) == 3
+    assert out.read_bytes() == uninterrupted_bytes
+
+
+def test_sweep_cursor_past_end_of_csv_starts_fresh(tmp_path, monkeypatch,
+                                                   uninterrupted_bytes):
+    out = tmp_path / "grid.csv"
+    with monkeypatch.context() as m:
+        crash_at(m, "row", 3)
+        with pytest.raises(KeyboardInterrupt):
+            crash_sweep(out)
+    cursor = str(out) + ".cursor"
+    with open(cursor) as fh:
+        state = json.load(fh)
+    with open(out, "r+") as fh:                       # CSV lost its last row
+        fh.truncate(state["offset"] - 1)
+    assert len(crash_sweep(out, resume=True)) == 3
+    assert out.read_bytes() == uninterrupted_bytes
+
+
 def test_sweep_isolates_row_failures(tmp_path, monkeypatch):
     real = phase._row_job
 

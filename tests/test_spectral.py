@@ -1,8 +1,9 @@
 """mu, the p-particle operator, and the eigenvalue machinery.
 
 Oracles: the d=1 closed form mu = -2k + sqrt(4k^2+1) (re-derived here from
-the explicit resolvent integral), a naive site-by-site implementation of the
-operator, and dense diagonalization on tiny boxes.
+the explicit resolvent integral), the nested root-find route to mu_inverse,
+a naive site-by-site implementation of the operator, and dense
+diagonalization on tiny boxes.
 """
 import math
 
@@ -11,8 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.optimize import brentq
 
-from pamlab import greens
+from pamlab import greens, spectral
 from pamlab.lattice import Box, DimensionMismatchError, Field, build_box, delta_field
 from pamlab.spectral import (
     ConvergenceError,
@@ -149,6 +151,18 @@ def test_mu_non_increasing_in_kappa(d, k1, k2):
     assert mu(d, hi) <= mu(d, lo) + 1e-9
 
 
+@settings(max_examples=8, deadline=None)
+@given(d=st.sampled_from((1, 3)), u1=st.floats(0.0, 1.0), u2=st.floats(0.0, 1.0))
+def test_mu_convex_in_kappa(d, u1, u2):
+    # kappa in [0, G_d(0)) at d=3, where mu > 0, and in [0, 2] at d=1
+    top = 2.0 if d == 1 else greens.green_zero(3).value
+    k1, k2 = sorted((u1 * top, u2 * top))
+    if d == 3:
+        k2 = min(k2, math.nextafter(top, 0.0))
+    mid = mu(d, 0.5 * (k1 + k2))
+    assert mid <= 0.5 * (mu(d, k1) + mu(d, k2)) + 1e-9
+
+
 def test_mu_validation():
     with pytest.raises(ValueError):
         mu(0, 0.1)
@@ -179,6 +193,61 @@ def test_mu_inverse_validation():
         mu_inverse(1, 0.0)      # diverges
     with pytest.raises(ValueError):
         mu_inverse(3, -0.5)
+
+
+def nested_mu_inverse(d: int, t: float, tol: float = 1e-10) -> float:
+    """The nested route: brentq over kappa on mu, itself a brentq over m."""
+    if t >= 1.0:
+        return 0.0
+    if d >= 3:
+        hi = greens.green_zero(d, min(tol, 1e-10)).value
+    else:
+        hi = 1.0
+        while mu(d, hi, tol) > t:
+            hi *= 2.0
+    if t == 0.0:
+        return hi
+    mu_tol = min(tol, 1e-10, 0.01 * t)
+    f = lambda k: mu(d, k, mu_tol) - t
+    if f(hi) > 0.0:
+        return hi
+    return float(brentq(f, 0.0, hi, xtol=0.5 * tol, rtol=4 * np.finfo(float).eps))
+
+
+@pytest.mark.parametrize("d", (1, 2, 3, 5))
+def test_mu_inverse_matches_nested_route(d):
+    # The oracle resolves m, not kappa, to its tolerance, so where mu is flat
+    # (d=1, small t) its kappa error is tol/|mu'|: at tol=1e-10 it is off the
+    # d=1 closed form by 2.7e-10 at t=0.05.  It runs at 1e-12 to stay below
+    # the 1e-10 comparison everywhere.
+    for t in (0.02, 0.05, 0.1, 0.3, 0.6, 0.9, 0.95):
+        assert mu_inverse(d, t) == pytest.approx(nested_mu_inverse(d, t, 1e-12),
+                                                 abs=1e-10)
+
+
+def test_mu_inverse_d1_closed_form():
+    # mu1(k) = t  <=>  k = (1 - t^2) / (4 t)
+    for t in (0.02, 0.05, 0.3, 0.95):
+        assert mu_inverse(1, t) == pytest.approx((1 - t * t) / (4 * t), abs=1e-10)
+
+
+@settings(max_examples=10, deadline=None)
+@given(d=st.sampled_from((3, 5)), t=st.floats(0.01, 0.99))
+def test_mu_inverse_round_trip_property(d, t):
+    assert abs(mu(d, mu_inverse(d, t)) - t) <= 1e-8
+
+
+def test_mu_inverse_never_calls_mu(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("mu_inverse must not run a root-find over mu")
+
+    monkeypatch.setattr(spectral, "_mu_cached", forbidden)
+    uncached = spectral._mu_inverse_cached.__wrapped__
+    for d in (1, 3):
+        for t in (0.05, 0.5, 0.95):
+            assert 0.0 < uncached(d, t, 1e-10) < math.inf
+    assert uncached(3, 0.0, 1e-10) == greens.green_zero(3, 1e-10).value
+    assert uncached(1, 1.0, 1e-10) == 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,16 @@ the merged jump epochs; its measure is computed exactly (no time grid).
 Sampling draws p independent X-copies per catalyst draw, which makes the
 product over copies an unbiased estimator of u^p without nested averaging.
 
+A path is a pair of arrays: its jump epochs and its positions, the running
+sum of the start and one one-hot step per jump.  Many paths are stored back
+to back in one batch, and a batch's collision measures come from a few
+whole-array numpy operations: one sort of every pair's merged cut points,
+and one lookup of both paths' positions at every piece's midpoint.
+`lambda_mc` evaluates a whole block of samples in one batch; `collision_time`
+evaluates its p*n pairs in one batch.  These are the same floats, summed by
+`math.fsum`, as a piece-by-piece evaluation, so the results are the same
+bit for bit.
+
 Per-sample RNG streams are keyed by (seed, sample index), and the final
 log-sum-exp reduction runs in sample-index order, so results are bit-for-bit
 reproducible for any worker count.  Weights live in [1, e^{npt}]; everything
@@ -24,7 +34,6 @@ import logging
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Sequence, Tuple
 
 import numpy as np
@@ -45,13 +54,20 @@ __all__ = [
 
 logger = logging.getLogger(__name__)
 
+# Jumps drawn per vectorised block of lambda_mc samples: enough to spread the
+# fixed cost of a block's numpy calls over hundreds of samples, while its
+# arrays stay near a megabyte (plus at most one sample past the budget).
+_BLOCK_JUMPS = 1 << 12
+
 
 @dataclass(frozen=True)
 class JumpPath:
     """A continuous-time nearest-neighbour path on Z^d.
 
     events are time-sorted (epoch, axis, sign) triples with axis in 1..d and
-    sign +-1; the position is piecewise constant and right-continuous.
+    sign +-1; the position is piecewise constant and right-continuous.  The
+    events are checked and turned into the arrays ``_epochs`` and
+    ``_positions`` at construction; every computation reads those arrays.
     """
 
     d: int
@@ -61,40 +77,17 @@ class JumpPath:
     horizon: float
 
     def __post_init__(self):
-        if self.d < 1:
-            raise ValueError(f"dimension must be >= 1, got d={self.d}")
-        if len(self.start) != self.d:
-            raise ValueError(f"start has {len(self.start)} coordinates, d={self.d}")
-        last = -math.inf
-        for ep, ax, sg in self.events:
-            if not (0.0 <= ep <= self.horizon and ep > last):
-                raise ValueError(
-                    f"epochs must be strictly increasing within [0, horizon], "
-                    f"got epoch {ep} after {last}")
-            if not 1 <= ax <= self.d:
-                raise ValueError(f"axis {ax} outside 1..{self.d}")
-            if sg not in (-1, 1):
-                raise ValueError(f"sign must be +-1, got {sg}")
-            last = ep
-
-    @cached_property
-    def _trajectory(self) -> Tuple[np.ndarray, np.ndarray]:
-        """(epochs, cumulative positions): positions[i] holds the path value
-        on [epochs[i-1], epochs[i]) (right-continuous at jumps)."""
-        eps = np.array([e[0] for e in self.events])
-        pos = np.zeros((len(self.events) + 1, self.d), dtype=np.int64)
-        pos[0] = self.start
-        for i, (_, ax, sg) in enumerate(self.events):
-            pos[i + 1] = pos[i]
-            pos[i + 1, ax - 1] += sg
-        return eps, pos
+        epochs, axes, signs = np.array(self.events, dtype=float).reshape(-1, 3).T
+        positions = _positions(self.d, self.start, self.horizon,
+                               np.array([len(epochs)]), epochs, axes, signs)
+        object.__setattr__(self, "_epochs", epochs)
+        object.__setattr__(self, "_positions", positions)
 
     def position(self, s: float) -> Tuple[int, ...]:
         if not 0.0 <= s <= self.horizon:
             raise ValueError(f"time {s} outside [0, {self.horizon}]")
-        eps, pos = self._trajectory
-        i = int(np.searchsorted(eps, s, side="right"))
-        return tuple(int(c) for c in pos[i])
+        i = int(np.searchsorted(self._epochs, s, side="right"))
+        return tuple(int(c) for c in self._positions[i])
 
 
 @dataclass(frozen=True)
@@ -108,9 +101,65 @@ class McEstimate:
     ess: float
 
 
-def sample_path(d: int, nu: float, t_end: float,
-                rng_stream: np.random.Generator) -> JumpPath:
-    """Draw a rate-2*d*nu simple-random-walk path on [0, t_end] from the origin.
+def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The concatenation of arange(s, s + l) over (s, l) in zip(starts, lengths),
+    for at least one range."""
+    ends = lengths.cumsum()
+    return np.arange(ends[-1]) + (starts - ends + lengths).repeat(lengths)
+
+
+def _keyed(index, values) -> np.ndarray:
+    """Complex numbers index + i*values: numpy orders complex numbers by
+    real part, then by imaginary part, so these sort by index, then value."""
+    out = np.empty(len(values), dtype=complex)
+    out.real = index
+    out.imag = values
+    return out
+
+
+def _positions(d: int, start: Sequence[int], horizon: float, counts: np.ndarray,
+               epochs: np.ndarray, axes: np.ndarray, signs: np.ndarray) -> np.ndarray:
+    """Check a batch of paths and return their stacked positions.
+
+    Path i has counts[i] jumps, stored back to back with the other paths'
+    in epochs, axes and signs; every path starts at ``start``.  Its epochs
+    must be strictly increasing within [0, horizon], its axes in 1..d and
+    its signs +-1.  The result has counts[i] + 1 rows for path i, in path
+    order: row r is the position on [epoch r-1, epoch r), the start plus the
+    one-hot steps of the first r jumps (right-continuous at jumps).
+    """
+    if d < 1:
+        raise ValueError(f"dimension must be >= 1, got d={d}")
+    if len(start) != d:
+        raise ValueError(f"start has {len(start)} coordinates, d={d}")
+    first = counts.cumsum() - counts
+    prev = np.concatenate(([-math.inf], epochs[:-1]))
+    prev[first[counts > 0]] = -math.inf
+    onehot = axes[:, None] == np.arange(1, d + 1)
+    ok = ((prev < epochs) & (0.0 <= epochs) & (epochs <= horizon)
+          & onehot.any(axis=1) & (np.abs(signs) == 1))
+    if not ok.all():
+        i = int(np.argmin(ok))
+        raise ValueError(
+            f"epochs must be strictly increasing within [0, {horizon}], axes in "
+            f"1..{d} and signs +-1; got epoch {epochs[i]} after {prev[i]}, "
+            f"axis {axes[i]}, sign {signs[i]}")
+    # one zero row per path, ahead of its jumps' one-hot steps
+    paths = len(counts)
+    steps = np.zeros((len(epochs) + paths, d), dtype=np.int64)
+    steps[np.arange(len(epochs)) + np.arange(1, paths + 1).repeat(counts)] = (
+        onehot * signs[:, None])
+    positions = steps.cumsum(axis=0)
+    if paths > 1:
+        # after the running sum, a path's zero row holds the steps of the
+        # paths before it
+        positions -= positions[first + np.arange(paths)].repeat(counts + 1, axis=0)
+    positions += start
+    return positions
+
+
+def _draw(d: int, nu: float, t_end: float, rng_stream: np.random.Generator):
+    """The jumps (epochs, axes, signs) of a rate-2*d*nu walk on [0, t_end].
 
     Jump count ~ Poisson(2 d nu t_end), epochs uniform, directions uniform
     over the 2d axis-sign choices.  Draw order (count, epochs, axes, signs)
@@ -119,54 +168,114 @@ def sample_path(d: int, nu: float, t_end: float,
     if nu < 0 or t_end < 0:
         raise ValueError(f"need nu >= 0 and t_end >= 0, got nu={nu}, t_end={t_end}")
     count = int(rng_stream.poisson(2.0 * d * nu * t_end)) if nu > 0 else 0
-    epochs = np.sort(rng_stream.uniform(0.0, t_end, size=count))
+    epochs = rng_stream.uniform(0.0, t_end, size=count)
+    epochs.sort()
     axes = rng_stream.integers(1, d + 1, size=count)
     signs = 2 * rng_stream.integers(0, 2, size=count) - 1
-    events = tuple((float(e), int(a), int(s)) for e, a, s in zip(epochs, axes, signs))
+    return epochs, axes, signs
+
+
+def sample_path(d: int, nu: float, t_end: float,
+                rng_stream: np.random.Generator) -> JumpPath:
+    """Draw a rate-2*d*nu simple-random-walk path on [0, t_end] from the origin.
+
+    Jump count ~ Poisson(2 d nu t_end), epochs uniform, directions uniform
+    over the 2d axis-sign choices; the draws and their order are `_draw`'s.
+    """
+    epochs, axes, signs = _draw(d, nu, t_end, rng_stream)
+    events = tuple(zip(epochs.tolist(), axes.tolist(), signs.tolist()))
     return JumpPath(d=d, rate=2.0 * d * nu, start=(0,) * d, events=events,
                     horizon=float(t_end))
 
 
-def _pair_collision(x: JumpPath, y: JumpPath, t: float) -> float:
-    """Exact measure of {s in [0,t]: x(s) = y(t-s)} for one path pair."""
-    ex, px = x._trajectory
-    ey, py = y._trajectory
-    cuts = {0.0, t}
-    cuts.update(float(e) for e in ex if e < t)
-    cuts.update(t - float(e) for e in ey if e < t)
-    grid = sorted(cuts)
-    pieces = []
-    for a, b in zip(grid, grid[1:]):
-        mid = 0.5 * (a + b)
-        ix = int(np.searchsorted(ex, mid, side="right"))
-        iy = int(np.searchsorted(ey, t - mid, side="right"))
-        if np.array_equal(px[ix], py[iy]):
-            pieces.append(b - a)
-    return math.fsum(pieces)
+def _collision_measures(t: float, p: int, n: int, counts: np.ndarray,
+                        epochs: np.ndarray, positions: np.ndarray) -> list[float]:
+    """Exact |{s in [0,t]: X_j(s) = Y_k(t-s)}| for every walker-catalyst pair
+    (j, k) of every group of a batch of paths, in (group, j, k) order.
+
+    The batch, stored as `_positions` stores it, is a run of groups of p
+    walker paths followed by n catalyst paths.  The cuts of a pair are 0, t,
+    X's epochs and t minus Y's epochs, the epochs clipped to t.  Both paths
+    are constant on each piece between two consecutive cuts, so one lookup
+    at the piece's midpoint decides it.  Cuts and epochs are `_keyed` by
+    their pair or path index, so one sort orders every pair's cuts, and one
+    searchsorted per side counts, for every piece, its own path's epochs up
+    to the midpoint (X) or up to t minus the midpoint (Y).  Equal cuts only
+    add zero-length pieces, which add exact zeros to a pair's `math.fsum`;
+    the piece from one pair's last cut to the next pair's first is left out
+    of both sums.
+    """
+    pair = np.arange(len(counts) // (p + n) * p * n)
+    group = (p + n) * (pair // (p * n))
+    xi, yi = group + pair // n % p, group + p + pair % n
+    first = counts.cumsum() - counts
+    keys = _keyed(np.arange(len(counts)).repeat(counts), epochs)
+    cx, cy = counts[xi], counts[yi]
+    clipped = np.minimum(epochs, t)
+    cuts = _keyed(
+        np.concatenate((pair, pair, pair.repeat(cx), pair.repeat(cy))),
+        np.concatenate((np.zeros(len(pair)), np.full(len(pair), t),
+                        clipped[_ranges(first[xi], cx)],
+                        t - clipped[_ranges(first[yi], cy)])))
+    cuts.sort()
+    owner = cuts.real.astype(np.intp)
+    a, b = cuts.imag[:-1], cuts.imag[1:]
+    mid = 0.5 * (a + b)
+    x, y = xi[owner[:-1]], yi[owner[:-1]]
+    rx = keys.searchsorted(_keyed(x, mid), side="right") + x
+    ry = keys.searchsorted(_keyed(y, t - mid), side="right") + y
+    hit = (positions[rx] == positions[ry]).all(axis=1)
+    lengths = np.where(hit, b - a, 0.0).tolist()
+    ends = (2 + cx + cy).cumsum().tolist()
+    return [math.fsum(lengths[lo:hi - 1]) for lo, hi in zip([0] + ends, ends)]
 
 
 def collision_time(xs: Sequence[JumpPath], ys: Sequence[JumpPath], t: float) -> float:
     """Total pairwise collision time sum_{j,k} |{s: X_j(s) = Y_k(t-s)}| in [0, npt]."""
     if t < 0:
         raise ValueError(f"horizon must be >= 0, got t={t}")
-    for path in (*xs, *ys):
+    paths = (*xs, *ys)
+    for path in paths:
         if path.horizon < t:
             raise ValueError(
                 f"path horizon {path.horizon} shorter than requested t={t}")
-    return math.fsum(_pair_collision(x, y, t) for x in xs for y in ys)
+    if not xs or not ys:
+        return 0.0
+    return math.fsum(_collision_measures(
+        t, len(xs), len(ys), np.array([len(path._epochs) for path in paths]),
+        np.concatenate([path._epochs for path in paths]),
+        np.concatenate([path._positions for path in paths])))
 
 
-def _sample_logw(params: PamParams, t: float, seed: int, index: int) -> float:
-    key = np.array([seed, index], dtype=np.uint64)
-    rng = np.random.Generator(np.random.Philox(key=key))
-    xs = [sample_path(params.d, params.kappa, t, rng) for _ in range(params.p)]
-    ys = [sample_path(params.d, params.rho, t, rng) for _ in range(params.n)]
-    return collision_time(xs, ys, t)
+def _block_logws(params: PamParams, t: float, draws: list) -> list[float]:
+    """log W of each sample in draws, which holds sample after sample the
+    `_draw` results of its p walkers, then of its n catalysts."""
+    counts = np.array([len(epochs) for epochs, _, _ in draws])
+    epochs, axes, signs = (np.concatenate(column) for column in zip(*draws))
+    positions = _positions(params.d, (0,) * params.d, t, counts, epochs, axes, signs)
+    measures = _collision_measures(t, params.p, params.n, counts, epochs, positions)
+    pairs = params.p * params.n
+    return [math.fsum(measures[k:k + pairs]) for k in range(0, len(measures), pairs)]
 
 
 def _chunk_logws(args) -> np.ndarray:
+    """log W of samples lo..hi-1, drawn sample by sample, evaluated in blocks."""
     params, t, seed, lo, hi = args
-    return np.array([_sample_logw(params, t, seed, i) for i in range(lo, hi)])
+    bits = np.random.Philox(key=np.array([seed, lo], dtype=np.uint64))
+    rng = np.random.Generator(bits)
+    fresh = bits.state
+    logws, draws, jumps = [], [], 0
+    for i in range(lo, hi):
+        # the state of a new Philox(key=(seed, i)), set without building one
+        fresh["state"]["key"] = np.array([seed, i], dtype=np.uint64)
+        bits.state = fresh
+        for nu in (params.kappa,) * params.p + (params.rho,) * params.n:
+            draws.append(_draw(params.d, nu, t, rng))
+            jumps += len(draws[-1][0])
+        if jumps >= _BLOCK_JUMPS or i == hi - 1:
+            logws += _block_logws(params, t, draws)
+            draws, jumps = [], 0
+    return np.array(logws)
 
 
 def lambda_mc(params: PamParams, t: float, samples: int, seed: int,
@@ -192,8 +301,12 @@ def lambda_mc(params: PamParams, t: float, samples: int, seed: int,
         chunk = max(1, -(-samples // (workers * 4)))
         jobs = [(params, t, seed, lo, min(lo + chunk, samples))
                 for lo in range(0, samples, chunk)]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        pool = ProcessPoolExecutor(max_workers=workers)
+        try:
             parts = list(pool.map(_chunk_logws, jobs))
+        finally:
+            # after an error or interrupt, drop the chunks not yet started
+            pool.shutdown(cancel_futures=True)
         logws = np.concatenate(parts)
 
     m = float(np.max(logws))

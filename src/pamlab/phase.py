@@ -334,8 +334,9 @@ def sweep(d: int, n: int, p_values: Sequence[int], kappas: Sequence[float],
                 write_atomic(cursor_path, json.dumps(
                     {"grid": digest, "rows_done": done, "offset": offset}))
         finally:
+            # after an error or interrupt, drop the rows not yet started
             if pool is not None:
-                pool.shutdown()
+                pool.shutdown(cancel_futures=True)
     if os.path.exists(cursor_path) and done == len(jobs):
         os.remove(cursor_path)
     return rows

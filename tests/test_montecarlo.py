@@ -2,13 +2,18 @@
 
 The collision oracle here is a midpoint Riemann sum on a fine grid; the
 implementation computes the same measure exactly from the merged jump
-epochs, so the two may differ only near cut points (O(h) per cut).
+epochs, so the two may differ only near cut points (O(h) per cut).  A second
+oracle is the piece-by-piece exact measure over tuple-built trajectories;
+the array implementation must match it bit for bit.
 """
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from pamlab import montecarlo
 from pamlab.montecarlo import (
     JumpPath,
     collision_time,
@@ -253,3 +258,194 @@ def test_pde_validation():
     with pytest.raises(ValueError):
         pde_moment_oracle(params, R=3, t=5.0,
                           catalyst_paths=[still(), still()])
+
+
+# ---------------------------------------------------------------------------
+# bit-identity with the piece-by-piece oracle
+# ---------------------------------------------------------------------------
+
+def oracle_trajectory(path):
+    """(epochs, positions) built event by event from the events tuple."""
+    eps = np.array([e[0] for e in path.events])
+    pos = np.zeros((len(path.events) + 1, path.d), dtype=np.int64)
+    pos[0] = path.start
+    for i, (_, ax, sg) in enumerate(path.events):
+        pos[i + 1] = pos[i]
+        pos[i + 1, ax - 1] += sg
+    return eps, pos
+
+
+def oracle_pair_collision(x, y, t):
+    """|{s in [0,t]: x(s) = y(t-s)}|, one searchsorted pair per piece."""
+    ex, px = oracle_trajectory(x)
+    ey, py = oracle_trajectory(y)
+    cuts = {0.0, t}
+    cuts.update(float(e) for e in ex if e < t)
+    cuts.update(t - float(e) for e in ey if e < t)
+    grid = sorted(cuts)
+    pieces = []
+    for a, b in zip(grid, grid[1:]):
+        mid = 0.5 * (a + b)
+        ix = int(np.searchsorted(ex, mid, side="right"))
+        iy = int(np.searchsorted(ey, t - mid, side="right"))
+        if np.array_equal(px[ix], py[iy]):
+            pieces.append(b - a)
+    return math.fsum(pieces)
+
+
+def oracle_collision_time(xs, ys, t):
+    return math.fsum(oracle_pair_collision(x, y, t) for x in xs for y in ys)
+
+
+def grid_path(rng, d, t, horizon, step):
+    """A path whose epochs lie on multiples of step, so cuts often coincide."""
+    slots = int(horizon / step) + 1
+    k = int(rng.integers(0, min(slots, 8) + 1))
+    epochs = np.sort(rng.choice(slots, size=k, replace=False)) * step
+    events = tuple((float(e), int(rng.integers(1, d + 1)), int(rng.choice([-1, 1])))
+                   for e in epochs)
+    start = tuple(int(c) for c in rng.integers(-1, 2, size=d))
+    return JumpPath(d=d, rate=1.0, start=start, events=events, horizon=horizon)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_collision_is_bit_identical_to_oracle(d):
+    rng = np.random.Generator(np.random.Philox(key=np.array([2024, d], dtype=np.uint64)))
+    for i in range(700):
+        t = float(rng.choice([0.5, 1.0, 2.0, 3.7]))
+        horizon = t if i % 3 else t + float(rng.choice([0.25, 1.5]))
+        if i % 2:
+            x = sample_path(d, float(rng.uniform(0.0, 1.5)), horizon, rng)
+            y = sample_path(d, float(rng.uniform(0.0, 1.5)), horizon, rng)
+        else:
+            x = grid_path(rng, d, t, horizon, 0.25)
+            y = grid_path(rng, d, t, horizon, 0.25)
+        assert collision_time([x], [y], t) == oracle_pair_collision(x, y, t)
+    # several walkers and catalysts in one call
+    for _ in range(30):
+        xs = [sample_path(d, 0.7, 2.0, rng) for _ in range(int(rng.integers(1, 4)))]
+        ys = [grid_path(rng, d, 2.0, 2.0, 0.25) for _ in range(int(rng.integers(1, 4)))]
+        assert collision_time(xs, ys, 2.0) == oracle_collision_time(xs, ys, 2.0)
+
+
+def test_collision_edge_cases_match_oracle():
+    def path(events, horizon=2.0, start=(0,)):
+        return JumpPath(d=1, rate=1.0, start=start, events=events, horizon=horizon)
+
+    cases = [
+        # epoch at exactly 0.0: x sits at 1 on all of [0, 2]
+        (path(((0.0, 1, 1),)), path((), start=(1,)), 2.0, 2.0),
+        # x epoch 0.75 equals t minus the y epoch 1.25: two cuts coincide,
+        # and both paths change at s = 0.75
+        (path(((0.75, 1, 1),)), path(((1.25, 1, 1),)), 2.0, 0.0),
+        (path(((0.75, 1, 1),), start=(-1,)), path(((1.25, 1, 1),)), 2.0, 1.25),
+        # horizons past t, with epochs after t: both sit at 1 on [0.5, 1]
+        (path(((0.5, 1, 1), (2.5, 1, -1)), horizon=3.0),
+         path(((1.0, 1, 1), (2.9, 1, 1)), horizon=3.0), 2.0, 0.5),
+        # epochs at exactly t
+        (path(((2.0, 1, 1),)), path(((2.0, 1, -1),)), 2.0, 2.0),
+        # a one-ulp piece [0.75, 0.75 + 2^-53] whose midpoint rounds onto its
+        # left cut, so t - mid is exactly the y epoch 1.25: the lookup takes
+        # y's value from that epoch on, as the piece-by-piece route does
+        (path(((math.nextafter(0.75, 1.0), 1, 1),)), path(((1.25, 1, 1),)), 2.0, 0.0),
+        # no jumps
+        (path(()), path(()), 2.0, 2.0),
+        (path((), start=(3,)), path(()), 2.0, 0.0),
+    ]
+    for x, y, t, expected in cases:
+        assert collision_time([x], [y], t) == oracle_pair_collision(x, y, t) == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(d=st.integers(1, 3), t=st.floats(0.01, 5.0), data=st.data())
+def test_collision_time_reversal_symmetry(d, t, data):
+    # s -> t-s maps {s: x(s) = y(t-s)} onto {s: y(s) = x(t-s)}; only the
+    # rounding of t - epoch differs between the two sides
+    def path():
+        epochs = sorted(set(data.draw(st.lists(st.floats(0.0, t), max_size=6))))
+        events = tuple((e, data.draw(st.integers(1, d)),
+                        data.draw(st.sampled_from([-1, 1]))) for e in epochs)
+        return JumpPath(d=d, rate=1.0, start=(0,) * d, events=events, horizon=t)
+
+    x, y = path(), path()
+    assert collision_time([x], [y], t) == pytest.approx(
+        collision_time([y], [x], t), abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the vectorised sampling route
+# ---------------------------------------------------------------------------
+
+# recorded with the tuple-based, piece-by-piece implementation
+GOLDEN = dict(lambda_t=1.088697617643726, stderr=0.06586406134749145,
+              ess=6.269434537364525)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_lambda_mc_golden(workers):
+    params = PamParams(d=3, n=2, p=2, kappa=0.1, rho=0.1)
+    est = lambda_mc(params, t=3.0, samples=300, seed=2024, workers=workers)
+    assert (est.lambda_t, est.stderr, est.ess) == (
+        GOLDEN["lambda_t"], GOLDEN["stderr"], GOLDEN["ess"])
+
+
+def test_lambda_mc_golden_in_small_blocks(monkeypatch):
+    # samples are evaluated in vectorised blocks; block size must not matter
+    monkeypatch.setattr(montecarlo, "_BLOCK_JUMPS", 5)
+    params = PamParams(d=3, n=2, p=2, kappa=0.1, rho=0.1)
+    est = lambda_mc(params, t=3.0, samples=300, seed=2024)
+    assert (est.lambda_t, est.stderr, est.ess) == (
+        GOLDEN["lambda_t"], GOLDEN["stderr"], GOLDEN["ess"])
+
+
+class FedStream:
+    """A stand-in random stream: two jumps, both at epoch 0.5."""
+
+    def poisson(self, lam):
+        return 2
+
+    def uniform(self, low, high, size):
+        return np.full(size, 0.5)
+
+    def integers(self, low, high, size):
+        return np.full(size, low)
+
+
+def test_equal_epochs_raise_through_the_fast_route(monkeypatch):
+    with pytest.raises(ValueError, match="strictly increasing"):
+        sample_path(1, 0.5, 1.0, FedStream())
+    monkeypatch.setattr(montecarlo.np.random, "Generator", lambda bits: FedStream())
+    params = PamParams(d=1, n=1, p=1, kappa=0.5, rho=0.5)
+    with pytest.raises(ValueError, match="strictly increasing"):
+        lambda_mc(params, t=1.0, samples=4, seed=0)
+
+
+# ---------------------------------------------------------------------------
+# worker pool shutdown
+# ---------------------------------------------------------------------------
+
+def test_lambda_mc_interrupt_cancels_pending_chunks(monkeypatch):
+    shutdowns, calls = [], []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            pass
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+        def shutdown(self, wait=True, cancel_futures=False):
+            shutdowns.append({"wait": wait, "cancel_futures": cancel_futures})
+
+    def interrupted(args):
+        calls.append(args)
+        if len(calls) == 2:
+            raise KeyboardInterrupt
+        return np.zeros(args[4] - args[3])
+
+    monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(montecarlo, "_chunk_logws", interrupted)
+    params = PamParams(d=1, n=1, p=1, kappa=0.25, rho=0.25)
+    with pytest.raises(KeyboardInterrupt):
+        lambda_mc(params, t=1.0, samples=64, seed=3, workers=2)
+    assert shutdowns == [{"wait": True, "cancel_futures": True}]

@@ -3,6 +3,7 @@ import csv
 import json
 import math
 import os
+from concurrent.futures import Future
 
 import pytest
 
@@ -338,3 +339,29 @@ def test_sweep_validation(tmp_path):
         sweep(1, 1, [1], [0.3, 0.1], [0.1], out)
     with pytest.raises(ValueError):
         sweep(1, 1, [1], [0.1], [0.2, 0.1], out)
+
+
+def test_sweep_interrupt_cancels_pending_rows(tmp_path, monkeypatch):
+    shutdowns = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            pass
+
+        def submit(self, fn, *args):
+            future = Future()
+            future.set_result(fn(*args))
+            return future
+
+        def shutdown(self, wait=True, cancel_futures=False):
+            shutdowns.append({"wait": wait, "cancel_futures": cancel_futures})
+
+    def interrupted(path, text):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(phase, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(phase, "write_atomic", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        sweep(1, 1, [1], [0.1, 0.2], [0.3], str(tmp_path / "grid.csv"),
+              radii=[1, 2], workers=2)
+    assert shutdowns == [{"wait": True, "cancel_futures": True}]

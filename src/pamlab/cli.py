@@ -264,7 +264,8 @@ def cmd_lambda_spectral(cfg: dict) -> CommandResult:
     payload = {
         "params": vars(params).copy(),
         "estimates": [{"R": e.radius, "lambda_box": e.value, "residual": e.error,
-                       "converged": e.converged} for e in ests],
+                       "converged": e.converged, "solver": e.solver, "dim": e.dim,
+                       "matvecs": e.matvecs} for e in ests],
     }
     rows = [(str(params.d), str(params.n), str(params.p), _fmt(params.kappa),
              _fmt(params.rho), str(e.radius), _fmt(e.value), _fmt(e.error))

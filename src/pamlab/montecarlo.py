@@ -117,6 +117,11 @@ def _keyed(index, values) -> np.ndarray:
     return out
 
 
+# The largest float below 0.  It stands for the epoch before a path's first
+# jump, so the one test "epoch after the one before" also asks epoch >= 0.
+_BEFORE_ZERO = -math.ulp(0.0)
+
+
 def _positions(d: int, start: Sequence[int], horizon: float, counts: np.ndarray,
                epochs: np.ndarray, axes: np.ndarray, signs: np.ndarray) -> np.ndarray:
     """Check a batch of paths and return their stacked positions.
@@ -127,33 +132,39 @@ def _positions(d: int, start: Sequence[int], horizon: float, counts: np.ndarray,
     its signs +-1.  The result has counts[i] + 1 rows for path i, in path
     order: row r is the position on [epoch r-1, epoch r), the start plus the
     one-hot steps of the first r jumps (right-continuous at jumps).
+
+    The checks reuse the row layout of the positions, each path's start row
+    holding _BEFORE_ZERO as its time, which keeps down the fixed cost that
+    one short path pays.
     """
     if d < 1:
         raise ValueError(f"dimension must be >= 1, got d={d}")
     if len(start) != d:
         raise ValueError(f"start has {len(start)} coordinates, d={d}")
-    first = counts.cumsum() - counts
-    prev = np.concatenate(([-math.inf], epochs[:-1]))
-    prev[first[counts > 0]] = -math.inf
-    onehot = axes[:, None] == np.arange(1, d + 1)
-    ok = ((prev < epochs) & (0.0 <= epochs) & (epochs <= horizon)
-          & onehot.any(axis=1) & (np.abs(signs) == 1))
+    paths = len(counts)
+    rows = np.arange(len(epochs)) + np.arange(1, paths + 1).repeat(counts)
+    times = np.full(len(epochs) + paths, _BEFORE_ZERO)
+    times[rows] = epochs
+    prev = times[rows - 1]
+    # one +-1 entry per row exactly when the axis is in 1..d and the sign +-1
+    step = (axes[:, None] == np.arange(1, d + 1)) * signs[:, None]
+    ok = (prev < epochs) & (epochs <= horizon) & (np.abs(step).sum(axis=1) == 1)
     if not ok.all():
         i = int(np.argmin(ok))
+        first_jump = i == 0 or rows[i - 1] + 1 < rows[i]
+        after = "its path's start" if first_jump else prev[i]
         raise ValueError(
             f"epochs must be strictly increasing within [0, {horizon}], axes in "
-            f"1..{d} and signs +-1; got epoch {epochs[i]} after {prev[i]}, "
+            f"1..{d} and signs +-1; got epoch {epochs[i]} after {after}, "
             f"axis {axes[i]}, sign {signs[i]}")
-    # one zero row per path, ahead of its jumps' one-hot steps
-    paths = len(counts)
-    steps = np.zeros((len(epochs) + paths, d), dtype=np.int64)
-    steps[np.arange(len(epochs)) + np.arange(1, paths + 1).repeat(counts)] = (
-        onehot * signs[:, None])
+    steps = np.zeros((len(times), d), dtype=np.int64)
+    steps[rows] = step
     positions = steps.cumsum(axis=0)
     if paths > 1:
-        # after the running sum, a path's zero row holds the steps of the
+        # after the running sum, a path's start row holds the steps of the
         # paths before it
-        positions -= positions[first + np.arange(paths)].repeat(counts + 1, axis=0)
+        first = np.arange(paths) + counts.cumsum() - counts
+        positions -= positions[first].repeat(counts + 1, axis=0)
     positions += start
     return positions
 

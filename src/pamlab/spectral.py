@@ -24,6 +24,25 @@ H_k's off-diagonals are H_0's times phases:
 
     theta_full(R) <= theta_frame(2R) <= sup spec H_0 <= p * lambda_p.
 
+The frame box is not solved whole.  H_0 on it commutes with the group
+G = S_p x S_{n-1} x B_d: permutations of the walker blocks, permutations of
+the catalyst blocks k >= 2, and the 2^d d! signed axis permutations B_d
+applied to every block at once.  Each g in G acts as a permutation matrix.
+H_0 + shift is symmetric with non-negative entries, so by Perron-Frobenius
+it has a non-negative top eigenvector v, and sum_g g v is a non-zero,
+non-negative, G-invariant top eigenvector, even where H_0 is reducible
+(kappa = 0, or rho = 0 with n >= 2).  The top eigenvalue is therefore that
+of the quotient on the orbit basis e_O = 1_O / sqrt|O|,
+
+    Q[O, O'] = sqrt(|O| / |O'|) * sum_{y in O'} H_0(x_O, y),
+
+a symmetric matrix with one row per orbit (255 orbits for the 15,625-site
+box at d=3, p=2, n=1, R=1).  For f = sum_O c_O e_O, ||f|| = ||c||,
+<f, H_0 f> = <c, Q c> and ||H_0 f - theta f|| = ||Q c - theta c||, so a
+quotient Ritz value is a Rayleigh quotient of H_0, a certified lower bound
+with the same residual certificate.  The orbits and the hop counts between
+them depend only on (d, p, n, radius) and are built once per box shape.
+
 top_eigen keeps the full operator: it is the small-box oracle, the base of
 tensor_gap, and the route on which the swap symmetry
 lambda_p^(n)(kappa, rho) = (n/p) lambda_n^(p)(rho, kappa) is exact per box.
@@ -37,12 +56,14 @@ eigensolver.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import NamedTuple, Sequence
 
 import numpy as np
+from scipy import sparse
 from scipy.linalg import eigh_tridiagonal
 from scipy.optimize import brentq
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
@@ -110,7 +131,8 @@ class SolverOptions:
     tol: float = 1e-8          # convergence: ||L v - theta v||_2 <= tol
     max_iters: int = 800       # total operator applications allowed
     basis_size: int = 40       # Krylov vectors kept per restart cycle
-    dense_cutoff: int = 600    # below this many sites, diagonalize densely
+    dense_cutoff: int = 600    # at most this many unknowns: dense; these are
+                               # orbits for lambda_spectral, sites for top_eigen
 
 
 @dataclass(frozen=True)
@@ -119,7 +141,8 @@ class LyapunovEstimate:
 
     kind 'spectral' values are certified lower bounds (Rayleigh quotients on a
     Dirichlet box); error is then the residual-based bound on the distance to
-    the box's own top eigenvalue, scaled to the lambda = theta/p axis.
+    the box's own top eigenvalue, scaled to the lambda = theta/p axis, and
+    solver, dim and matvecs record how the eigenproblem was solved.
     """
 
     params: PamParams
@@ -128,6 +151,9 @@ class LyapunovEstimate:
     error: float
     radius: int | None = None
     converged: bool = True
+    solver: str | None = None    # "dense" | "arpack" | "arpack+lanczos" | "lanczos"
+    dim: int | None = None       # unknowns solved: orbits (lambda_spectral) or sites
+    matvecs: int | None = None   # operator applications, dense assembly included
 
 
 class ConvergenceError(RuntimeError):
@@ -328,8 +354,143 @@ def _apply_flat(op: _Operator, v: np.ndarray, shift: float = 0.0) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# the frame operator on its symmetric sector
+# ---------------------------------------------------------------------------
+
+# Sites canonicalised per batch while counting orbits: bounds the temporary
+# arrays of a large box to a few tens of megabytes; the counts are kept per
+# orbit, never per site.
+_CHUNK_SITES = 1 << 18
+
+
+def _site_coords(flat: np.ndarray, d: int, blocks: int, radius: int) -> np.ndarray:
+    """Coordinates, shaped (sites, blocks, d), of flat box indices."""
+    L = 2 * radius + 1
+    digits = np.unravel_index(flat, (L,) * (blocks * d), order="F")
+    return np.stack(digits, axis=1).reshape(-1, blocks, d) - radius
+
+
+def _orbit_keys(z: np.ndarray, p: int, radius: int) -> np.ndarray:
+    """A label of each site's orbit under S_p x S_{n-1} x B_d.
+
+    z has shape (sites, p+n-1, d): walker blocks, then catalysts k >= 2.
+    The label is the minimum over the group of an encoding of the image,
+    read as base-(2*radius+1) digits of z + radius that run axis by axis,
+    each axis's column block by block.  The function enumerates the
+    p!(n-1)! block orders: for each, the smaller of each column and its
+    negation, sorted, is the minimum over B_d.
+    """
+    sites, blocks, d = z.shape
+    L = 2 * radius + 1
+    C = L ** blocks
+    u = z + radius
+    key = None
+    for walkers in itertools.permutations(range(p)):
+        for catalysts in itertools.permutations(range(p, blocks)):
+            order = walkers + catalysts
+            cols = u[:, order[0], :]
+            for b in order[1:]:
+                cols = cols * L + u[:, b, :]
+            cols = np.minimum(cols, C - 1 - cols)
+            cols.sort(axis=1)
+            k = cols[:, 0]
+            for i in range(1, d):
+                k = k * C + cols[:, i]
+            key = k if key is None else np.minimum(key, k)
+    return key
+
+
+def _orbit_sites(keys: np.ndarray, d: int, blocks: int, radius: int) -> np.ndarray:
+    """The site each _orbit_keys label encodes, shaped (sites, blocks, d)."""
+    L = 2 * radius + 1
+    digits = np.stack(np.unravel_index(keys, (L,) * (blocks * d)), axis=1)
+    return digits.reshape(-1, d, blocks).transpose(0, 2, 1) - radius
+
+
+class _Quotient(NamedTuple):
+    """The frame operator's parts on the orbit basis e_O = 1_O / sqrt|O|.
+
+    kappa_hops and rho_hops hold the hop counts between orbits,
+    sum_{x in O, y in O'} A(x, y) / sqrt(|O| |O'|), of the walker hops and
+    of the catalyst and diagonal hops; collisions holds I_p on each orbit.
+    """
+
+    sizes: np.ndarray
+    collisions: np.ndarray
+    kappa_hops: sparse.csr_matrix
+    rho_hops: sparse.csr_matrix
+    center: int                # the orbit of z = 0, a fixed point
+
+
+@lru_cache(maxsize=8)
+def _quotient(d: int, p: int, n: int, radius: int) -> _Quotient:
+    """Orbits of the radius frame box and the operator's parts between them.
+
+    Every site is labelled once to count the orbit sizes; the hops are then
+    read off one representative per orbit, since the number of neighbours of
+    x in O' is the same for every x in O.
+    """
+    blocks = p + n - 1
+    size = build_box(d * blocks, radius).size
+    labels, sizes = [], []
+    for lo in range(0, size, _CHUNK_SITES):
+        flat = np.arange(lo, min(lo + _CHUNK_SITES, size))
+        keys, hits = np.unique(_orbit_keys(_site_coords(flat, d, blocks, radius), p, radius),
+                               return_counts=True)
+        labels.append(keys)
+        sizes.append(hits)
+    labels, which = np.unique(np.concatenate(labels), return_inverse=True)
+    sizes = np.bincount(which, weights=np.concatenate(sizes)).astype(np.int64)
+    z = _orbit_sites(labels, d, blocks, radius)
+
+    walkers = z[:, :p, None, :]
+    others = np.concatenate((np.zeros_like(z[:, :1]), z[:, p:]), axis=1)[:, None]
+    collisions = (walkers == others).all(axis=3).sum(axis=(1, 2)).astype(np.float64)
+
+    def hops(steps):
+        rows, cols = [], []
+        for step in steps:
+            for nb in (z + step, z - step):
+                inside = (np.abs(nb) <= radius).all(axis=(1, 2))
+                rows.append(np.flatnonzero(inside))
+                cols.append(labels.searchsorted(
+                    _orbit_keys(nb[inside], p, radius)))
+        rows, cols = np.concatenate(rows), np.concatenate(cols)
+        counted = sparse.coo_matrix((np.ones(len(rows)), (rows, cols)),
+                                    shape=(len(labels),) * 2)
+        counted.sum_duplicates()
+        # |O| * (neighbours of x_O in O') counts the hops between O and O'
+        # both ways, so these entries are symmetric to the last bit
+        r, c = counted.row, counted.col
+        counted.data = counted.data * sizes[r] / np.sqrt(sizes[r] * sizes[c])
+        return counted.tocsr()
+
+    def unit(cells):
+        step = np.zeros((blocks, d), dtype=np.int64)
+        for cell in cells:
+            step[cell] = 1
+        return step
+
+    kappa_hops = hops([unit([(j, i)]) for j in range(p) for i in range(d)])
+    rho_hops = hops([unit([(k, i)]) for k in range(p, blocks) for i in range(d)]
+                    + [unit([(b, i) for b in range(blocks)]) for i in range(d)])
+    center = int(labels.searchsorted(
+        _orbit_keys(np.zeros((1, blocks, d), dtype=np.int64), p, radius)[0]))
+    return _Quotient(sizes, collisions, kappa_hops, rho_hops, center)
+
+
+# ---------------------------------------------------------------------------
 # top eigenpair
 # ---------------------------------------------------------------------------
+
+class _Solution(NamedTuple):
+    theta: float               # includes the shift
+    vec: np.ndarray
+    residual: float
+    converged: bool
+    solver: str                # "dense" | "arpack" | "arpack+lanczos" | "lanczos"
+    matvecs: int
+
 
 def _start_vector(box: Box) -> np.ndarray:
     v = np.full(box.size, 1e-3)
@@ -337,30 +498,33 @@ def _start_vector(box: Box) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
-def _dense_top(op: _Operator, shift: float) -> tuple[float, np.ndarray, float]:
-    size = op.box.size
+def _top_pair(matvec, v0: np.ndarray, opts: SolverOptions, scale: float) -> _Solution:
+    """Top eigenpair of the symmetric operator matvec, densely at most
+    dense_cutoff unknowns, else by _krylov_top from v0; converged means
+    residual ||A v - theta v||_2 <= opts.tol.  scale bounds ||A||."""
+    size = v0.size
+    if size > opts.dense_cutoff:
+        return _krylov_top(matvec, v0, opts, scale)
     A = np.empty((size, size))
     e = np.zeros(size)
     for i in range(size):
         e[i] = 1.0
-        A[:, i] = _apply_flat(op, e, shift)
+        A[:, i] = matvec(e)
         e[i] = 0.0
     w, V = np.linalg.eigh(A)
     theta = float(w[-1])
     vec = V[:, -1]
-    res = float(np.linalg.norm(_apply_flat(op, vec, shift) - theta * vec))
-    return theta, vec, res
+    res = float(np.linalg.norm(matvec(vec) - theta * vec))
+    return _Solution(theta, vec, res, res <= opts.tol, "dense", size + 1)
 
 
-def _restarted_lanczos(op: _Operator, shift: float,
-                       opts: SolverOptions, v0: np.ndarray,
-                       budget: int) -> tuple[float, np.ndarray, float, bool]:
+def _restarted_lanczos(matvec, v0: np.ndarray, opts: SolverOptions,
+                       budget: int) -> _Solution:
     """Lanczos with full reorthogonalization, restarting from the top Ritz vector.
 
-    Memory is bounded by basis_size stored vectors.  Returns
-    (theta, vector, residual, converged); theta includes the shift.  The Ritz
-    value is a Rayleigh quotient, so even an unconverged iterate respects the
-    lower-bound semantics.
+    Memory is bounded by basis_size stored vectors, and the operator is
+    applied at most budget times.  The Ritz value is a Rayleigh quotient, so
+    even an unconverged iterate respects the lower-bound semantics.
     """
     v = v0 / np.linalg.norm(v0)
     matvecs = 0
@@ -371,7 +535,7 @@ def _restarted_lanczos(op: _Operator, shift: float,
         betas: list[float] = []
         broke_down = False
         while len(alphas) < opts.basis_size and matvecs < budget:
-            w = _apply_flat(op, V[-1], shift)
+            w = matvec(V[-1])
             matvecs += 1
             a = float(np.dot(V[-1], w))
             alphas.append(a)
@@ -393,40 +557,37 @@ def _restarted_lanczos(op: _Operator, shift: float,
         y = evecs[:, 0]
         u = sum(y[i] * V[i] for i in range(k))
         u /= np.linalg.norm(u)
-        res = float(np.linalg.norm(_apply_flat(op, u, shift) - theta * u))
+        res = float(np.linalg.norm(matvec(u) - theta * u))
         matvecs += 1
         if res <= opts.tol:
-            return theta, u, res, True
+            return _Solution(theta, u, res, True, "lanczos", matvecs)
         if broke_down:
             # invariant subspace without convergence: deterministically perturb
             rng = np.random.Generator(np.random.Philox(key=np.uint64(matvecs)))
             u = u + 1e-8 * rng.standard_normal(u.size)
             u /= np.linalg.norm(u)
         v = u
-    return theta, u, res, False
+    return _Solution(theta, u, res, False, "lanczos", matvecs)
 
 
-def _krylov_top(op: _Operator, shift: float,
-                opts: SolverOptions) -> tuple[float, np.ndarray, float, bool]:
+def _krylov_top(matvec, v0: np.ndarray, opts: SolverOptions, scale: float) -> _Solution:
     """Implicitly-restarted Lanczos (ARPACK) plus explicit residual certification.
 
     ARPACK's stopping rule is relative and internal; convergence here is
-    declared only from our own residual ||L v - theta v|| <= opts.tol.  If
+    declared only from our own residual ||A v - theta v|| <= opts.tol.  If
     ARPACK stalls, a restarted full-reorthogonalization Lanczos polishes its
     best iterate within the remaining matvec budget.
     """
     mv_count = 0
 
-    def matvec(x):
+    def counted(x):
         nonlocal mv_count
         mv_count += 1
-        return _apply_flat(op, np.asarray(x, dtype=np.float64).ravel(), shift)
+        return matvec(np.asarray(x, dtype=np.float64).ravel())
 
-    box = op.box
-    A = LinearOperator((box.size, box.size), matvec=matvec, dtype=np.float64)
-    v0 = _start_vector(box)
-    ncv = min(opts.basis_size, box.size - 1)
-    scale = shift + op.params.n * op.params.p + 1.0
+    size = v0.size
+    A = LinearOperator((size, size), matvec=counted, dtype=np.float64)
+    ncv = min(opts.basis_size, size - 1)
     theta, u = None, None
     try:
         w, V = eigsh(A, k=1, which="LA", v0=v0, ncv=ncv,
@@ -437,12 +598,42 @@ def _krylov_top(op: _Operator, shift: float,
         if len(exc.eigenvalues):
             theta, u = float(exc.eigenvalues[0]), exc.eigenvectors[:, 0]
     if u is None:
-        return _restarted_lanczos(op, shift, opts, v0, opts.max_iters)
-    res = float(np.linalg.norm(_apply_flat(op, u, shift) - theta * u))
+        sol = _restarted_lanczos(matvec, v0, opts, opts.max_iters)
+        return sol._replace(solver="arpack+lanczos", matvecs=mv_count + sol.matvecs)
+    res = float(np.linalg.norm(matvec(u) - theta * u))
     if res <= opts.tol:
-        return theta, u, res, True
+        return _Solution(theta, u, res, True, "arpack", mv_count + 1)
     remaining = max(opts.max_iters - mv_count, 2 * opts.basis_size)
-    return _restarted_lanczos(op, shift, opts, u, remaining)
+    sol = _restarted_lanczos(matvec, u, opts, remaining)
+    return sol._replace(solver="arpack+lanczos", matvecs=mv_count + 1 + sol.matvecs)
+
+
+def _shift(params: PamParams) -> float:
+    # 4 * (sum of hop rates), the same in both frames: makes L_p + shift >= 0
+    return 4.0 * params.d * (params.p * params.kappa + params.n * params.rho)
+
+
+def _scale(params: PamParams, shift: float) -> float:
+    # bounds ||L_p + shift||: the hops add at most shift, I_p at most n p
+    return shift + params.n * params.p + 1.0
+
+
+def _certified(params: PamParams, R: int, shift: float, sol: _Solution,
+               opts: SolverOptions) -> LyapunovEstimate:
+    """The estimate of a solve; raises ConvergenceError if it did not converge."""
+    value = (sol.theta - shift) / params.p
+    est = LyapunovEstimate(params=params, value=value, kind="spectral",
+                           error=sol.residual / params.p, radius=R,
+                           converged=sol.converged, solver=sol.solver,
+                           dim=sol.vec.size, matvecs=sol.matvecs)
+    if not sol.converged:
+        how = ("by dense diagonalization" if sol.solver == "dense"
+               else f"within {opts.max_iters} operator applications")
+        raise ConvergenceError(
+            f"eigensolver did not reach residual {opts.tol:g} {how} "
+            f"(best value {value:.12g}, residual {sol.residual:.3g})",
+            best=est, residual=sol.residual)
+    return est
 
 
 def top_eigen(params: PamParams, R: int, opts: SolverOptions | None = None
@@ -458,38 +649,43 @@ def top_eigen(params: PamParams, R: int, opts: SolverOptions | None = None
 
 def _top_eigen_vec(params: PamParams, R: int, opts: SolverOptions | None = None,
                    frame: bool = False) -> tuple[LyapunovEstimate, np.ndarray]:
-    """Top eigenpair on the full radius-R box, or on the catalyst-frame box of
-    radius 2R when frame is set; the estimate's radius is R either way."""
+    """Top eigenpair on the full radius-R box, or on the whole catalyst-frame
+    box of radius 2R when frame is set; the estimate's radius is R either way."""
     opts = opts or SolverOptions()
     op = _operator(params, 2 * R if frame else R, frame)
-    # 4 * (sum of hop rates), the same in both frames: makes L_p + shift >= 0
-    shift = 4.0 * params.d * (params.p * params.kappa + params.n * params.rho)
-    if op.box.size <= opts.dense_cutoff:
-        theta, vec, res = _dense_top(op, shift)
-        converged = res <= opts.tol
-        how = "by dense diagonalization"
-    else:
-        theta, vec, res, converged = _krylov_top(op, shift, opts)
-        how = f"within {opts.max_iters} operator applications"
-    value = (theta - shift) / params.p
-    est = LyapunovEstimate(params=params, value=value, kind="spectral",
-                           error=res / params.p, radius=R, converged=converged)
-    if not converged:
-        raise ConvergenceError(
-            f"eigensolver did not reach residual {opts.tol:g} {how} "
-            f"(best value {value:.12g}, residual {res:.3g})", best=est, residual=res)
-    return est, vec
+    shift = _shift(params)
+    sol = _top_pair(lambda v: _apply_flat(op, v, shift), _start_vector(op.box), opts,
+                   _scale(params, shift))
+    return _certified(params, R, shift, sol, opts), sol.vec
+
+
+def _quotient_top(params: PamParams, R: int, opts: SolverOptions) -> LyapunovEstimate:
+    """(1/p) * top eigenvalue of the frame box of radius 2R, solved on the
+    functions invariant under S_p x S_{n-1} x B_d (module docstring)."""
+    d, n, p = params.d, params.n, params.p
+    q = _quotient(d, p, n, 2 * R)
+    shift = _shift(params)
+    # the Dirichlet diagonal -2 d (p kappa + n rho), plus I_p and the shift
+    diagonal = q.collisions + (shift - 2.0 * d * (p * params.kappa + n * params.rho))
+    Q = (params.kappa * q.kappa_hops + params.rho * q.rho_hops
+         + sparse.diags(diagonal)).tocsr()
+    # the start vector of the full frame box, projected on the orbit basis
+    v0 = 1e-3 * np.sqrt(q.sizes)
+    v0[q.center] += 1.0
+    sol = _top_pair(Q.dot, v0 / np.linalg.norm(v0), opts, _scale(params, shift))
+    return _certified(params, R, shift, sol, opts)
 
 
 def lambda_spectral(params: PamParams, radii: Sequence[int],
                     opts: SolverOptions | None = None) -> list[LyapunovEstimate]:
     """Box estimates over strictly increasing radii.
 
-    Radius R is solved on the catalyst-frame box of radius 2R (see the
-    module docstring), which is at least the full radius-R box value.
-    Values are non-decreasing in R (nested admissible sets) and each is a
-    certified lower bound; the final entry's ``converged`` flag records
-    whether the last increment fell below the solver tolerance.
+    Radius R is solved on the catalyst-frame box of radius 2R, restricted to
+    its symmetric sector (see the module docstring); the value is at least
+    the full radius-R box value.  Values are non-decreasing in R (nested
+    admissible sets) and each is a certified lower bound; the final entry's
+    ``converged`` flag records whether the last increment fell below the
+    solver tolerance.
     """
     radii = list(radii)
     if not radii:
@@ -497,7 +693,7 @@ def lambda_spectral(params: PamParams, radii: Sequence[int],
     if any(b <= a for a, b in zip(radii, radii[1:])):
         raise ValueError(f"radii must be strictly increasing, got {radii}")
     opts = opts or SolverOptions()
-    out = [_top_eigen_vec(params, R, opts, frame=True)[0] for R in radii]
+    out = [_quotient_top(params, R, opts) for R in radii]
     if len(out) >= 2:
         settled = abs(out[-1].value - out[-2].value) < opts.tol
         out[-1] = replace(out[-1], converged=settled)

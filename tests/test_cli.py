@@ -103,6 +103,23 @@ def test_lambda_spectral_nonconvergence_exit_code(capsys):
     assert "residual" in err
 
 
+def test_lambda_spectral_json_records_the_solve(capsys, tmp_path):
+    code, out, _ = run(capsys, "lambda-spectral", "--d", "3", "--n", "1",
+                       "--p", "2", "--kappa", "0.05", "--rho", "0.1",
+                       "--radius", "1", "--format", "json")
+    assert code == 0
+    (est,) = json.loads(out)["result"]["estimates"]
+    assert (est["solver"], est["dim"], est["matvecs"]) == ("dense", 255, 256)
+    # the CSV form keeps its columns
+    csv_out = tmp_path / "ls.csv"
+    code, _, _ = run(capsys, "lambda-spectral", "--d", "1", "--n", "1",
+                     "--p", "1", "--kappa", "0.25", "--rho", "0.25",
+                     "--radius", "2", "--format", "csv", "--out", str(csv_out))
+    assert code == 0
+    assert csv_out.read_text().splitlines()[0] == \
+        "d,n,p,kappa,rho,R,lambda_box,residual"
+
+
 def test_lambda_mc_requires_seed(capsys):
     code, _, err = run(capsys, "lambda-mc", "--d", "1", "--n", "1", "--p", "1",
                        "--kappa", "0.1", "--rho", "0.1", "--t", "2")

@@ -59,6 +59,45 @@ def test_path_validation():
         JumpPath(d=1, rate=1.0, start=(0,), events=((0.5, 1, 2),), horizon=1.0)
 
 
+def loop_positions(d, start, counts, axes, signs):
+    """Positions path by path, step by step."""
+    rows, k = [], 0
+    for c in counts:
+        pos = list(start)
+        rows.append(tuple(pos))
+        for _ in range(c):
+            pos[int(axes[k]) - 1] += int(signs[k])
+            rows.append(tuple(pos))
+            k += 1
+    return rows
+
+
+def test_positions_of_a_batch_match_a_loop():
+    rng = np.random.Generator(np.random.Philox(key=np.uint64(41)))
+    for d in (1, 2, 3):
+        counts = rng.integers(0, 4, size=12)
+        counts[[0, 5, 11]] = 0             # empty paths first, inside, last
+        epochs = np.concatenate([np.sort(rng.uniform(0.0, 2.0, c)) for c in counts])
+        axes = rng.integers(1, d + 1, size=counts.sum())
+        signs = 2 * rng.integers(0, 2, size=counts.sum()) - 1
+        start = tuple(range(d))
+        got = montecarlo._positions(d, start, 2.0, counts, epochs, axes, signs)
+        assert [tuple(r) for r in got] == loop_positions(d, start, counts, axes, signs)
+        # epochs are checked within each path only: a path's first epoch may
+        # lie before the last epoch of the path before it, as here
+        for name, bad in (("epochs", -1e-9), ("epochs", 2.5), ("epochs", None),
+                          ("axes", 0), ("axes", d + 1), ("signs", 0)):
+            args = {"epochs": epochs.copy(), "axes": axes.copy(), "signs": signs.copy()}
+            if bad is None:                # a repeated epoch inside one path
+                assert (counts >= 2).any()
+                k = int(counts.cumsum()[np.argmax(counts >= 2)]) - 1
+                args["epochs"][k] = args["epochs"][k - 1]
+            else:
+                args[name][int(rng.integers(0, len(epochs)))] = bad
+            with pytest.raises(ValueError):
+                montecarlo._positions(d, start, 2.0, counts, **args)
+
+
 def test_path_right_continuous():
     p = JumpPath(d=2, rate=1.0, start=(0, 0),
                  events=((1.0, 2, 1), (2.0, 1, -1)), horizon=3.0)

@@ -2,9 +2,11 @@
 
 Oracles: the d=1 closed form mu = -2k + sqrt(4k^2+1) (re-derived here from
 the explicit resolvent integral), the nested root-find route to mu_inverse,
-a naive site-by-site implementation of the operator, and dense
-diagonalization on tiny boxes.
+a naive site-by-site implementation of the operator, dense diagonalization
+on tiny boxes, the brute-force minimum over the symmetry group for the orbit
+labels, and the whole catalyst-frame box for its symmetric sector.
 """
+import itertools
 import math
 
 import numpy as np
@@ -31,7 +33,16 @@ from pamlab.spectral import (
     tensor_gap,
     top_eigen,
 )
-from pamlab.spectral import _apply_flat, _operator
+from pamlab.spectral import (
+    _apply_flat,
+    _orbit_keys,
+    _orbit_sites,
+    _operator,
+    _quotient,
+    _quotient_top,
+    _site_coords,
+    _top_eigen_vec,
+)
 
 
 def mu1(kappa: float) -> float:
@@ -463,6 +474,144 @@ def test_dense_path_certifies_residual():
     assert err.best.value == pytest.approx(math.sqrt(2.0) - 1.0, abs=1e-8)
     with pytest.raises(ConvergenceError):
         top_eigen(params, 2, SolverOptions(tol=1e-16))      # 25-site full box
+
+
+# ---------------------------------------------------------------------------
+# the symmetric sector of the frame box
+# ---------------------------------------------------------------------------
+
+def brute_force_keys(z, p, radius):
+    """min over S_p x S_{n-1} x B_d of the encoding _orbit_keys minimises."""
+    sites, blocks, d = z.shape
+    L = 2 * radius + 1
+    best = None
+    for walkers in itertools.permutations(range(p)):
+        for catalysts in itertools.permutations(range(p, blocks)):
+            for perm in itertools.permutations(range(d)):
+                for signs in itertools.product((1, -1), repeat=d):
+                    w = z[:, walkers + catalysts][:, :, perm] * np.array(signs) + radius
+                    w = w.transpose(0, 2, 1)   # axis by axis, each column block by block
+                    k = np.ravel_multi_index(tuple(w.reshape(sites, -1).T),
+                                             (L,) * (blocks * d))
+                    best = k if best is None else np.minimum(best, k)
+    return best
+
+
+@pytest.mark.parametrize("d", (1, 2, 3))
+@pytest.mark.parametrize("p,n", list(itertools.product((1, 2, 3), repeat=2)))
+def test_orbit_keys_are_the_brute_force_minimum(d, p, n):
+    blocks = p + n - 1
+    rng = np.random.Generator(np.random.Philox(key=np.uint64(100 * d + 10 * p + n)))
+    for radius in (1, 2):
+        # small radii make repeated coordinates, zeros and equal blocks common
+        z = rng.integers(-radius, radius + 1, size=(40, blocks, d))
+        keys = _orbit_keys(z, p, radius)
+        assert np.array_equal(keys, brute_force_keys(z, p, radius))
+        # the site a label encodes lies in the labelled orbit
+        back = _orbit_sites(keys, d, blocks, radius)
+        assert np.array_equal(_orbit_keys(back, p, radius), keys)
+
+
+def test_site_coords_match_box_sites():
+    box = build_box(6, 1)
+    flat = np.array([0, 5, 100, box.size - 1])
+    z = _site_coords(flat, 2, 3, 1)
+    assert [tuple(row.reshape(-1)) for row in z] == [box.site(int(i)) for i in flat]
+
+
+@pytest.mark.parametrize("d,p,n,radius", [(1, 1, 1, 4), (1, 3, 1, 2), (1, 2, 2, 2),
+                                          (2, 1, 2, 2), (2, 2, 2, 1), (3, 2, 1, 2),
+                                          (3, 2, 1, 4)])
+def test_orbit_sizes_sum_to_the_site_count(d, p, n, radius):
+    q = _quotient(d, p, n, radius)
+    assert q.sizes.sum() == (2 * radius + 1) ** (d * (p + n - 1))
+    assert q.sizes[q.center] == 1          # z = 0 is fixed by the whole group
+
+
+def test_orbit_counts():
+    # d=3, p=2, n=1: a group of order 96
+    assert len(_quotient(3, 2, 1, 2).sizes) == 255
+    assert len(_quotient(3, 2, 1, 4).sizes) == 6325
+    # d=1, p+n=4, R=1: the radius-2 frame box has 125 sites, the full box 81
+    for p in (1, 2, 3):
+        assert len(_quotient(1, p, 4 - p, 2).sizes) < 81
+
+
+def lifted(q, d, p, n, radius, c):
+    """The frame-box function sum_O c_O 1_O / sqrt|O| of orbit coefficients c."""
+    blocks = p + n - 1
+    flat = np.arange((2 * radius + 1) ** (d * blocks))
+    keys = _orbit_keys(_site_coords(flat, d, blocks, radius), p, radius)
+    labels = np.flatnonzero(np.bincount(keys))
+    orbit = labels.searchsorted(keys)
+    return c[orbit] / np.sqrt(q.sizes[orbit])
+
+
+@pytest.mark.parametrize("d,p,n,radius,kappa,rho", [
+    (1, 1, 1, 6, 0.3, 0.2), (1, 3, 1, 2, 0.3, 0.2), (2, 2, 2, 1, 0.3, 0.2),
+    (2, 2, 1, 2, 0.0, 0.2), (3, 2, 1, 2, 0.05, 0.1)])
+def test_quotient_is_the_frame_operator_on_invariant_functions(d, p, n, radius,
+                                                               kappa, rho):
+    # H lifts Q: for any c, H f(c) = f(Q c), and so the residuals agree
+    params = PamParams(d=d, n=n, p=p, kappa=kappa, rho=rho)
+    q = _quotient(d, p, n, radius)
+    shift = spectral._shift(params)
+    Q = (kappa * q.kappa_hops + rho * q.rho_hops).toarray() + np.diag(
+        q.collisions + shift - 2.0 * d * (p * kappa + n * rho))
+    assert np.array_equal(Q, Q.T)
+    op = _operator(params, radius, frame=True)
+    rng = np.random.Generator(np.random.Philox(key=np.uint64(7 * d + p + 3 * n)))
+    c = rng.standard_normal(len(q.sizes))
+    f = lifted(q, d, p, n, radius, c)
+    Hf = _apply_flat(op, f, shift)
+    assert np.allclose(Hf, lifted(q, d, p, n, radius, Q @ c),
+                       atol=1e-12)
+    theta = float(c @ (Q @ c)) / float(c @ c)
+    assert np.linalg.norm(Hf - theta * f) == pytest.approx(
+        np.linalg.norm(Q @ c - theta * c), rel=1e-12)
+
+
+@pytest.mark.parametrize("d,R,n,p", [
+    (1, 2, 1, 1), (1, 2, 1, 2), (1, 2, 2, 1), (1, 2, 2, 2), (1, 1, 1, 3),
+    (2, 1, 1, 1), (2, 1, 1, 2), (2, 1, 2, 1), (2, 1, 2, 2),
+    (3, 1, 1, 1), (3, 1, 1, 2), (3, 1, 2, 1)])
+@pytest.mark.parametrize("kappa,rho", [(0.3, 0.2), (0.0, 0.2), (0.3, 0.0)])
+def test_quotient_matches_the_whole_frame_box(d, R, n, p, kappa, rho):
+    # the whole frame box is the oracle; rho = 0 with n = 2 and kappa = 0
+    # make the operator reducible, where the averaging argument still holds
+    # (d=3, n=p=2 is left out: its frame box has 1.95M sites)
+    params = PamParams(d=d, n=n, p=p, kappa=kappa, rho=rho)
+    opts = SolverOptions()
+    got = _quotient_top(params, R, opts)
+    want, _ = _top_eigen_vec(params, R, opts, frame=True)
+    assert got.value == pytest.approx(want.value, abs=opts.tol)
+    assert got.dim < want.dim
+
+
+def test_quotient_krylov_path():
+    # 801 orbits: above dense_cutoff, so ARPACK solves the quotient
+    params = PamParams(d=1, n=1, p=1, kappa=0.25, rho=0.25)
+    est = lambda_spectral(params, [400])[-1]
+    assert est.solver == "arpack" and est.dim == 801
+    assert est.value == pytest.approx(math.sqrt(2.0) - 1.0, abs=1e-8)
+    assert est.error <= 1e-8
+
+
+def test_lambda_spectral_never_applies_the_frame_operator(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("lambda_spectral must solve on the orbit quotient")
+
+    monkeypatch.setattr(spectral, "_apply_flat", forbidden)
+    ests = lambda_spectral(PamParams(d=3, n=1, p=2, kappa=0.05, rho=0.1), [1])
+    assert ests[-1].value >= 0.43101842764
+    lambda_spectral(PamParams(d=1, n=1, p=1, kappa=0.25, rho=0.25), [400])
+
+
+def test_estimates_carry_their_provenance():
+    est = lambda_spectral(PamParams(d=3, n=1, p=2, kappa=0.05, rho=0.1), [1])[-1]
+    assert (est.solver, est.dim, est.matvecs) == ("dense", 255, 256)
+    est = top_eigen(PamParams(d=1, n=1, p=1, kappa=0.25, rho=0.25), 20)
+    assert est.solver == "arpack" and est.dim == 41 ** 2 and est.matvecs > 0
 
 
 # ---------------------------------------------------------------------------

@@ -85,6 +85,34 @@ def _seed_type(text: str) -> int:
     return value
 
 
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
+
+
+# every parameter once: its argparse spec (the flag is _flag(name))
+_FLAGS: dict[str, dict] = {
+    "d": dict(type=int),
+    "n": dict(type=int),
+    "p": dict(type=int),
+    "kappa": dict(type=float),
+    "rho": dict(type=float),
+    "tol": dict(type=float),
+    "quantity": dict(choices=("zero", "at", "l2sq", "alpha")),
+    "x": dict(type=_int_list, help="site for --quantity at"),
+    "method": dict(choices=("time-integral", "fourier-quadrature", "monte-carlo")),
+    "t": dict(type=float),
+    "radius": dict(type=int),
+    "radii": dict(type=_int_list),
+    "p_values": dict(type=_int_list),
+    "kappas": dict(type=_float_list),
+    "rhos": dict(type=_float_list),
+    "samples": dict(type=int),
+    "seed": dict(type=_seed_type),
+    "workers": dict(type=int),
+    "resume": dict(action="store_true", default=None),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pam",
@@ -92,93 +120,14 @@ def build_parser() -> argparse.ArgumentParser:
                     "model with moving catalysts.")
     parser.add_argument("--version", action="version", version=f"pam {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(sp, *names):
-        if "d" in names:
-            sp.add_argument("--d", type=int)
-        if "n" in names:
-            sp.add_argument("--n", type=int)
-        if "p" in names:
-            sp.add_argument("--p", type=int)
-        if "kappa" in names:
-            sp.add_argument("--kappa", type=float)
-        if "rho" in names:
-            sp.add_argument("--rho", type=float)
-        if "tol" in names:
-            sp.add_argument("--tol", type=float)
+    for command, (_, help_text, params) in _COMMANDS.items():
+        sp = sub.add_parser(command, help=help_text)
+        for name, _, _ in params:
+            sp.add_argument(_flag(name), dest=name, **_FLAGS[name])
         sp.add_argument("--config", help="manifest JSON to take parameters from")
         sp.add_argument("--out", help="output file path")
         sp.add_argument("--format", choices=("json", "csv"), dest="fmt")
-
-    sp = sub.add_parser("green", help="lattice Green function quantities")
-    common(sp, "d", "tol")
-    sp.add_argument("--quantity", choices=("zero", "at", "l2sq", "alpha"))
-    sp.add_argument("--x", type=_int_list, help="site for --quantity at")
-    sp.add_argument("--method",
-                    choices=("time-integral", "fourier-quadrature", "monte-carlo"))
-    sp.add_argument("--samples", type=int)
-    sp.add_argument("--seed", type=_seed_type)
-
-    sp = sub.add_parser("mu", help="top of the spectrum of kappa*Delta + delta_0")
-    common(sp, "d", "kappa", "tol")
-
-    sp = sub.add_parser("lambda-spectral", help="certified box lower bounds of lambda_p")
-    common(sp, "d", "n", "p", "kappa", "rho", "tol")
-    sp.add_argument("--radius", type=int)
-    sp.add_argument("--radii", type=_int_list)
-
-    sp = sub.add_parser("lambda-mc", help="Feynman-Kac Monte Carlo for Lambda_p(t)")
-    common(sp, "d", "n", "p", "kappa", "rho")
-    sp.add_argument("--t", type=float)
-    sp.add_argument("--samples", type=int)
-    sp.add_argument("--seed", type=_seed_type)
-    sp.add_argument("--workers", type=int)
-
-    sp = sub.add_parser("phase", help="intermittency phase-diagram sweep (CSV)")
-    common(sp, "d", "n", "kappa", "rho", "tol")
-    sp.add_argument("--p-values", type=_int_list, dest="p_values")
-    sp.add_argument("--kappas", type=_float_list)
-    sp.add_argument("--rhos", type=_float_list)
-    sp.add_argument("--radii", type=_int_list)
-    sp.add_argument("--workers", type=int)
-    sp.add_argument("--resume", action="store_true", default=None)
-
-    sp = sub.add_parser("check-gn", help="Gagliardo-Nirenberg inequality on random fields")
-    common(sp, "d")
-    sp.add_argument("--radius", type=int)
-    sp.add_argument("--samples", type=int)
-    sp.add_argument("--seed", type=_seed_type)
-
-    sp = sub.add_parser("tensor-gap", help="certified lambda_2 - lambda_1 gap from p=1")
-    common(sp, "d", "n", "kappa", "rho", "tol")
-    sp.add_argument("--radius", type=int)
     return parser
-
-
-# per-command parameter schema: (name, required, default)
-_SCHEMAS: dict[str, list[tuple[str, bool, object]]] = {
-    "green": [("d", True, None), ("quantity", False, "zero"), ("x", False, None),
-              ("method", False, "time-integral"), ("tol", False, 1e-9),
-              ("samples", False, 4_000_000), ("seed", False, None)],
-    "mu": [("d", True, None), ("kappa", True, None), ("tol", False, 1e-10)],
-    "lambda-spectral": [("d", True, None), ("n", True, None), ("p", True, None),
-                        ("kappa", True, None), ("rho", True, None),
-                        ("tol", False, 1e-8), ("radius", False, None),
-                        ("radii", False, None)],
-    "lambda-mc": [("d", True, None), ("n", True, None), ("p", True, None),
-                  ("kappa", True, None), ("rho", True, None), ("t", True, None),
-                  ("samples", False, 10_000), ("seed", False, None),
-                  ("workers", False, 1)],
-    "phase": [("d", True, None), ("n", True, None), ("p_values", False, [1, 2]),
-              ("kappa", False, None), ("rho", False, None),
-              ("kappas", False, None), ("rhos", False, None),
-              ("radii", False, None), ("tol", False, 1e-8),
-              ("workers", False, 1), ("resume", False, False)],
-    "check-gn": [("d", True, None), ("radius", False, 6),
-                 ("samples", False, 1000), ("seed", False, None)],
-    "tensor-gap": [("d", True, None), ("n", True, None), ("kappa", True, None),
-                   ("rho", True, None), ("radius", False, 6), ("tol", False, 1e-10)],
-}
 
 
 def _load_config(path: str, command: str) -> dict:
@@ -197,7 +146,7 @@ def _load_config(path: str, command: str) -> dict:
 
 
 def _merge_config(args: argparse.Namespace) -> dict:
-    schema = _SCHEMAS[args.command]
+    _, _, schema = _COMMANDS[args.command]
     loaded = _load_config(args.config, args.command) if args.config else {}
     cfg = {}
     for name, required, default in schema:
@@ -207,7 +156,7 @@ def _merge_config(args: argparse.Namespace) -> dict:
         elif name in loaded and loaded[name] is not None:
             cfg[name] = loaded[name]
         elif required:
-            raise CliParamError(f"missing required parameter --{name.replace('_', '-')}")
+            raise CliParamError(f"missing required parameter {_flag(name)}")
         else:
             cfg[name] = default
     return cfg
@@ -336,6 +285,8 @@ def cmd_check_gn(cfg: dict) -> CommandResult:
     d = cfg["d"]
     if d not in (1, 2):
         raise CliParamError(f"--d must be 1 or 2, got {d}")
+    if cfg["samples"] < 1:
+        raise CliParamError(f"--samples must be >= 1, got {cfg['samples']}")
     box = build_box(d, cfg["radius"])
     rng = np.random.Generator(np.random.Philox(key=np.uint64(cfg["seed"])))
     holds_count = 0
@@ -364,14 +315,36 @@ def cmd_tensor_gap(cfg: dict) -> CommandResult:
     return CommandResult(payload=payload, text=text)
 
 
-_COMMANDS: dict[str, Callable[[dict], CommandResult]] = {
-    "green": cmd_green,
-    "mu": cmd_mu,
-    "lambda-spectral": cmd_lambda_spectral,
-    "lambda-mc": cmd_lambda_mc,
-    "phase": cmd_phase,
-    "check-gn": cmd_check_gn,
-    "tensor-gap": cmd_tensor_gap,
+# per command: handler, help text and parameters (name, required, default)
+_COMMANDS: dict[str, tuple[Callable[[dict], CommandResult], str,
+                           list[tuple[str, bool, object]]]] = {
+    "green": (cmd_green, "lattice Green function quantities",
+              [("d", True, None), ("tol", False, 1e-9), ("quantity", False, "zero"),
+               ("x", False, None), ("method", False, "time-integral"),
+               ("samples", False, 4_000_000), ("seed", False, None)]),
+    "mu": (cmd_mu, "top of the spectrum of kappa*Delta + delta_0",
+           [("d", True, None), ("kappa", True, None), ("tol", False, 1e-10)]),
+    "lambda-spectral": (cmd_lambda_spectral, "certified box lower bounds of lambda_p",
+                        [("d", True, None), ("n", True, None), ("p", True, None),
+                         ("kappa", True, None), ("rho", True, None),
+                         ("tol", False, 1e-8), ("radius", False, None),
+                         ("radii", False, None)]),
+    "lambda-mc": (cmd_lambda_mc, "Feynman-Kac Monte Carlo for Lambda_p(t)",
+                  [("d", True, None), ("n", True, None), ("p", True, None),
+                   ("kappa", True, None), ("rho", True, None), ("t", True, None),
+                   ("samples", False, 10_000), ("seed", False, None),
+                   ("workers", False, 1)]),
+    "phase": (cmd_phase, "intermittency phase-diagram sweep (CSV)",
+              [("d", True, None), ("n", True, None), ("kappa", False, None),
+               ("rho", False, None), ("tol", False, 1e-8), ("p_values", False, [1, 2]),
+               ("kappas", False, None), ("rhos", False, None), ("radii", False, None),
+               ("workers", False, 1), ("resume", False, False)]),
+    "check-gn": (cmd_check_gn, "Gagliardo-Nirenberg inequality on random fields",
+                 [("d", True, None), ("radius", False, 6), ("samples", False, 1000),
+                  ("seed", False, None)]),
+    "tensor-gap": (cmd_tensor_gap, "certified lambda_2 - lambda_1 gap from p=1",
+                   [("d", True, None), ("n", True, None), ("kappa", True, None),
+                    ("rho", True, None), ("tol", False, 1e-10), ("radius", False, 6)]),
 }
 
 
@@ -430,7 +403,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             cfg["out"] = args.out
         elif args.command == "phase" and "out" not in cfg:
             cfg["out"] = None
-        result = _COMMANDS[args.command](cfg)
+        result = _COMMANDS[args.command][0](cfg)
         _emit(args.command, cfg, result, fmt, args.out)
     except (ConvergenceError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)

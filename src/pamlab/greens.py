@@ -16,19 +16,26 @@ integrals have an integrable singularity at theta=0 (and naive Monte Carlo on
 them has infinite variance for d in {3,4}).  The Fourier form is kept only as
 a cross-check at moderate accuracy.
 
-Error accounting.  Each estimate carries abs_error built from (a) the spread
-between two Gauss-Legendre node counts on the head interval [0,T] and (b) a
-two-sided envelope of the integrand on the tail [T,inf).  The envelope,
+Error accounting.  Every certified number here comes from one core,
+_certified_integral(ks, weight, nu, tol), for
+int_0^inf t^w e^{-nu t} prod_i e^{-2t} I_{k_i}(2t) dt; spectral.mu and
+mu_inverse use it too.  Its abs_error is built from (a) the spread between
+two Gauss-Legendre node counts on the head interval [0,T] and (b) a
+two-sided envelope of the integrand on the tail [T,inf), with T chosen by
+_horizon so that (b) is at most tol/4.  The envelope,
 
     1 + 1/(8x)  <=  sqrt(2 pi x) e^{-x} I0(x)  <=  1 + 1/(8x) + 0.08/x^2
 
 for x >= 60 (and its order-k analogues), is validated against an independent
 power-series oracle in the test suite, so the tail contribution to abs_error
-is a certified bound rather than a heuristic.
+is a certified bound rather than a heuristic.  green_box_values alone uses
+a fixed-node mode: the same horizon and tail midpoint, 48 nodes per panel and
+no error check, because its one consumer is a Rayleigh-type ratio.
 """
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence, Tuple
@@ -158,37 +165,50 @@ def _tail_bracket(ks: Sequence[int], weight: int, nu: float, T: float) -> Tuple[
     return mid, half
 
 
-def _scaled_return_integral(d: int, nu: float, weight: int, tol: float,
-                            strict: bool = True) -> Tuple[float, float]:
-    """(value, abs_error) for int_0^inf t^w e^{-nu t} (e^{-2t} I0(2t))^d dt.
+def _horizon(ks: Sequence[int], weight: int, nu: float,
+             tol: float) -> Tuple[float, float, float]:
+    """(T, mid, half): the tail start and _tail_bracket there.
 
-    The integral must converge: nu > 0, or d/2 - w > 1.  With strict=False the
-    best (value, abs_error) pair is returned even when abs_error > tol, for
-    callers that only need the value up to a self-reported error (e.g. sign
-    queries far from a root).
+    T starts where every per-factor envelope holds (2T >= _env_xmin(k)) and
+    doubles until the tail half-width is at most tol/4, or past 1e8.
     """
-    s = 0.5 * d - weight
-    if nu <= 0.0 and s <= 1.0:
-        raise ValueError("integral diverges")
-    T = 60.0
-    # grow T until the tail envelope is tighter than the budget
+    T = max(60.0, *(0.5 * _env_xmin(k) for k in ks))
     while True:
-        _, half = _tail_bracket((0,) * d, weight, nu, T)
+        mid, half = _tail_bracket(ks, weight, nu, T)
         if half <= 0.25 * tol or T > 1e8:
-            break
+            return T, mid, half
         T *= 2.0
-    edges = _edges(0.25 / (d + nu + 1.0), T)
+
+
+def _certified_integral(ks: Sequence[int], weight: int, nu: float, tol: float,
+                        strict: bool = True) -> Tuple[float, float]:
+    """(value, abs_error) for int_0^inf t^w e^{-nu t} prod_i ive(k_i, 2t) dt.
+
+    The integral must converge: nu > 0, or len(ks)/2 - w > 1.  The head [0,T]
+    is Gauss-Legendre on graded panels, certified by the spread between two
+    node counts; the tail [T,inf) is the envelope bracket.  With strict=False
+    the best (value, abs_error) pair is returned even when abs_error > tol,
+    for callers that only need the value up to a self-reported error (e.g.
+    sign queries far from a root).
+    """
+    if nu <= 0.0 and 0.5 * len(ks) - weight <= 1.0:
+        raise ValueError("integral diverges")
+    T, mid, half = _horizon(ks, weight, nu, tol)
+    edges = _edges(0.25 / (len(ks) + nu + 1.0), T)
+    # each distinct order once, raised to its multiplicity (i0e(2t)**d is
+    # ten times cheaper than d calls of ive(0, 2t))
+    orders = sorted(Counter(ks).items())
 
     def head(nodes: int) -> float:
         t, w = _panel_nodes(edges, nodes)
-        f = i0e(2.0 * t) ** d
+        f = math.prod((i0e(2.0 * t) if k == 0 else ive(k, 2.0 * t)) ** mult
+                      for k, mult in orders)
         if weight:
             f = f * t ** weight
         if nu:
             f = f * np.exp(-nu * t)
         return float(np.dot(w, f))
 
-    mid, half = _tail_bracket((0,) * d, weight, nu, T)
     for lo, hi in ((32, 48), (64, 96), (96, 144)):
         h_lo, h_hi = head(lo), head(hi)
         value = h_hi + mid
@@ -248,6 +268,8 @@ def _mc_green_zero(d: int, seed: int, samples: int) -> GreenEstimate:
             f"monte-carlo method has infinite variance for d={d}; requires d >= 5")
     if seed is None:
         raise ValueError("monte-carlo method requires an explicit seed")
+    if samples < 2:
+        raise ValueError(f"need at least 2 samples for a standard error, got {samples}")
     rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
     total = 0.0
     total_sq = 0.0
@@ -271,7 +293,7 @@ def _green_zero_cached(d: int, tol: float) -> GreenEstimate:
     if d <= 2:
         return GreenEstimate(d=d, quantity="G(0)", value=math.inf, abs_error=0.0,
                              method="time-integral")
-    value, err = _scaled_return_integral(d, 0.0, 0, tol)
+    value, err = _certified_integral((0,) * d, 0, 0.0, tol)
     return GreenEstimate(d=d, quantity="G(0)", value=value, abs_error=err,
                          method="time-integral")
 
@@ -300,7 +322,7 @@ def _green_l2sq_cached(d: int, tol: float) -> GreenEstimate:
     if d <= 4:
         return GreenEstimate(d=d, quantity="|G|_2^2", value=math.inf, abs_error=0.0,
                              method="time-integral")
-    value, err = _scaled_return_integral(d, 0.0, 1, tol)
+    value, err = _certified_integral((0,) * d, 1, 0.0, tol)
     return GreenEstimate(d=d, quantity="|G|_2^2", value=value, abs_error=err,
                          method="time-integral")
 
@@ -314,36 +336,9 @@ def green_l2sq(d: int, tol: float = 1e-9) -> GreenEstimate:
     return _green_l2sq_cached(d, float(tol))
 
 
-def _green_at_value(d: int, ks: Tuple[int, ...], tol: float) -> Tuple[float, float]:
-    # per-factor envelopes need 2t >= _env_xmin(k) on the tail
-    T = max(60.0, *(0.5 * _env_xmin(k) for k in ks))
-    while True:
-        _, half = _tail_bracket(ks, 0, 0.0, T)
-        if half <= 0.25 * tol or T > 1e8:
-            break
-        T *= 2.0
-    edges = _edges(0.25 / (d + 1.0), T)
-
-    def head(nodes: int) -> float:
-        t, w = _panel_nodes(edges, nodes)
-        f = np.ones_like(t)
-        for k in ks:
-            f = f * ive(k, 2.0 * t)
-        return float(np.dot(w, f))
-
-    mid, half = _tail_bracket(ks, 0, 0.0, T)
-    for lo, hi in ((32, 48), (64, 96), (96, 144)):
-        h_lo, h_hi = head(lo), head(hi)
-        value = h_hi + mid
-        err = abs(h_hi - h_lo) + half + 1e-15 * (1.0 + abs(value))
-        if err <= tol:
-            return value, err
-    raise ValueError(f"requested tol {tol} not certifiable (best abs_error {err:.3e})")
-
-
 @lru_cache(maxsize=65536)
 def _green_at_cached(d: int, ks: Tuple[int, ...], tol: float) -> GreenEstimate:
-    value, err = _green_at_value(d, ks, tol)
+    value, err = _certified_integral(ks, 0, 0.0, tol)
     return GreenEstimate(d=d, quantity=f"G({list(ks)})", value=value, abs_error=err,
                          method="time-integral")
 
@@ -396,6 +391,13 @@ def green_box_values(d: int, radius: int, tol: float = 1e-9) -> np.ndarray:
     cost is ~C(R+d, d) integrals rather than (2R+1)^d.  The lookup runs one
     (2R+1)^(d-1) slab at a time, so its index arrays stay a factor 2R+1
     smaller than the result.
+
+    Fixed-node mode: T comes from _horizon, but the head uses 48 nodes per
+    panel with no spread check and the tail adds only its midpoint, so the
+    values carry no certificate.  None is needed: the one consumer,
+    spectral.f0_rayleigh, evaluates a Rayleigh-type ratio of whatever vector
+    it gets, so an inexact table changes the test vector, not the soundness
+    of the ratio.
     """
     if d <= 2:
         raise ValueError(f"G_d diverges for d={d} <= 2")
@@ -403,12 +405,7 @@ def green_box_values(d: int, radius: int, tol: float = 1e-9) -> np.ndarray:
     if L ** d > 60_000_000:
         raise CapacityError(f"green value grid (2R+1)^d = {L}^{d} too large")
 
-    T = max(60.0, 3.0 * radius * radius)
-    while True:
-        _, half = _tail_bracket((radius,) * d, 0, 0.0, T)
-        if half <= 0.25 * tol or T > 1e8:
-            break
-        T *= 2.0
+    T, _, _ = _horizon((radius,) * d, 0, 0.0, tol)
     edges = _edges(0.25 / (d + 1.0), T)
     t, w = _panel_nodes(edges, 48)
     V = np.array([ive(k, 2.0 * t) for k in range(radius + 1)])

@@ -173,7 +173,7 @@ def _resolvent_minus_one(d: int, kappa: float, m: float, quad_tol: float) -> flo
     # int_0^inf e^{-m t} (e^{-2 kappa t} I0(2 kappa t))^d dt - 1, via u = kappa t.
     # Non-strict: far from the root (tiny m, d <= 2) the integral is huge and
     # only its sign matters; near the root the certification succeeds anyway.
-    val, _ = greens._scaled_return_integral(d, m / kappa, 0, quad_tol, strict=False)
+    val, _ = greens._certified_integral((0,) * d, 0, m / kappa, quad_tol, strict=False)
     return val / kappa - 1.0
 
 
@@ -692,6 +692,8 @@ def lambda_spectral(params: PamParams, radii: Sequence[int],
         raise ValueError("radii must be nonempty")
     if any(b <= a for a, b in zip(radii, radii[1:])):
         raise ValueError(f"radii must be strictly increasing, got {radii}")
+    if radii[0] < 0:
+        raise ValueError(f"box radius must be >= 0, got R={radii[0]}")
     opts = opts or SolverOptions()
     out = [_quotient_top(params, R, opts) for R in radii]
     if len(out) >= 2:

@@ -73,6 +73,14 @@ def test_green_mc_requires_seed(capsys):
     assert code == 2 and "--seed is required" in err
 
 
+@pytest.mark.parametrize("samples", ["1", "0", "-5"])
+def test_green_mc_needs_two_samples(capsys, samples):
+    code, out, err = run(capsys, "green", "--d", "5", "--method", "monte-carlo",
+                         "--seed", "1", "--samples", samples)
+    assert code == 2 and out == ""
+    assert "need at least 2 samples" in err
+
+
 # ---------------------------------------------------------------------------
 # lambda estimators
 # ---------------------------------------------------------------------------
@@ -81,6 +89,12 @@ def test_lambda_spectral_needs_a_radius(capsys):
     code, _, err = run(capsys, "lambda-spectral", "--d", "1", "--n", "1",
                        "--p", "1", "--kappa", "0.1", "--rho", "0.1")
     assert code == 2 and "one of --radius or --radii" in err
+
+
+def test_lambda_spectral_negative_radius_names_it(capsys):
+    code, _, err = run(capsys, "lambda-spectral", "--d", "1", "--n", "1",
+                       "--p", "1", "--kappa", "0.1", "--rho", "0.1", "--radius", "-1")
+    assert code == 2 and "got R=-1" in err
 
 
 def test_lambda_spectral_radii_text(capsys):
@@ -255,6 +269,14 @@ def test_check_gn_requires_seed(capsys):
 def test_check_gn_rejects_high_d(capsys):
     code, _, err = run(capsys, "check-gn", "--d", "3", "--seed", "1")
     assert code == 2 and "--d must be 1 or 2" in err
+
+
+@pytest.mark.parametrize("samples", ["0", "-3"])
+def test_check_gn_rejects_no_samples(capsys, samples):
+    code, out, err = run(capsys, "check-gn", "--d", "1", "--seed", "1",
+                         "--samples", samples)
+    assert code == 2 and out == ""
+    assert "--samples must be >= 1" in err
 
 
 def test_tensor_gap_text(capsys):

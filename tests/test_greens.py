@@ -110,6 +110,68 @@ def test_tail_bracket_contains_truth():
     assert half < 1e-3 * mid   # bracket is tight relative to the value at T=60
 
 
+def bessel_product_oracle(ks, weight, nu):
+    """int_0^inf t^w e^{-nu t} prod_i e^{-2t} I_{k_i}(2t) dt by mpmath quadrature."""
+    with mp.workdps(20):
+        def f(t):
+            bessel = mp.fprod(mp.besseli(k, 2 * t) ** ks.count(k) for k in set(ks))
+            return t ** weight * mp.exp(-(nu + 2 * len(ks)) * t) * bessel
+        return float(mp.quad(f, [0, 1, 10, 60, 200, 2000, mp.inf]))
+
+
+@pytest.mark.parametrize("ks, weight, nu", [
+    *(((0, 0, 0, 1, 2), w, nu) for w in (0, 1) for nu in (0.0, 0.3, 5.0)),
+    ((0, 0, 0), 0, 0.3), ((0, 0, 0), 1, 0.3)])
+def test_certified_integral_contains_oracle(ks, weight, nu):
+    value, err = greens._certified_integral(ks, weight, nu, 1e-9)
+    assert err <= 1e-9
+    assert abs(value - bessel_product_oracle(ks, weight, nu)) <= err
+
+
+def test_certified_integral_non_strict():
+    # 1e-16 is below the rounding term of abs_error, so never certifiable
+    ks, nu = (0, 0, 0), 0.3
+    with pytest.raises(ValueError, match="not certifiable"):
+        greens._certified_integral(ks, 0, nu, 1e-16)
+    value, err = greens._certified_integral(ks, 0, nu, 1e-16, strict=False)
+    assert err > 1e-16
+    ref, ref_err = greens._certified_integral(ks, 0, nu, 1e-9)
+    assert abs(value - ref) <= err + ref_err
+    with pytest.raises(ValueError, match="diverges"):
+        greens._certified_integral(ks, 1, 0.0, 1e-9)
+
+
+# (value, abs_error) recorded before the three quadrature loops were merged
+# into _certified_integral; the merge keeps every operation, so these hold
+# with ==.
+_RECORDED = {
+    ("G(0)", 3): (0.252731009838387, 7.758767069624246e-11),
+    ("G(0)", 4): (0.15493339021672076, 5.147026880866017e-11),
+    ("G(0)", 5): (0.11563081244501507, 1.3207278417039238e-10),
+    ("G(0)", 6): (0.09308028110061566, 5.171444221646213e-12),
+    ("G(0)", 7): (0.07813616539906694, 2.008872900566109e-13),
+    ("G(0)", 8): (0.06741543825105523, 8.736385813604802e-15),
+    ("|G|_2^2", 5): (0.019349414385837562, 6.100442724742726e-11),
+    ("|G|_2^2", 6): (0.010514915657776885, 5.153931584831383e-11),
+    ("|G|_2^2", 7): (0.006973398819097239, 1.541485598786373e-11),
+    ("|G|_2^2", 8): (0.00503516714707942, 5.75136979233092e-13),
+    ("alpha", 5): (0.5975933438566949, 2.5666470878954222e-09),
+    ("alpha", 6): (0.7376844802346165, 3.6567775110882576e-09),
+    ("alpha", 7): (0.8003492724491051, 1.7712478788844577e-09),
+    ("alpha", 8): (0.836807352688364, 9.569193297149085e-11),
+    ("G(x)", (1, 2, 3)): (0.021157661922126317, 8.61241468207072e-11),
+    ("G(x)", (1, 2, 3, 4)): (0.0008380622594338691, 9.556660918684323e-11),
+}
+
+
+@pytest.mark.parametrize("key", list(_RECORDED))
+def test_quadrature_values_unchanged(key):
+    quantity, arg = key
+    fn = {"G(0)": green_zero, "|G|_2^2": green_l2sq, "alpha": alpha}.get(quantity)
+    est = green_at(len(arg), arg) if fn is None else fn(arg)
+    assert (est.value, est.abs_error) == _RECORDED[key]
+
+
 # ---------------------------------------------------------------------------
 # G_d(0)
 # ---------------------------------------------------------------------------
@@ -175,6 +237,10 @@ def test_green_zero_monte_carlo():
         green_zero(4, method="monte-carlo", seed=1)   # infinite variance
     with pytest.raises(ValueError):
         green_zero(5, method="monte-carlo")           # no seed
+    # one sample has zero spread, so its abs_error would claim an exact value
+    for samples in (1, 0, -5):
+        with pytest.raises(ValueError, match="need at least 2 samples"):
+            green_zero(5, method="monte-carlo", seed=1, samples=samples)
 
 
 def test_green_zero_validation():

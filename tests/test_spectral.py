@@ -248,6 +248,23 @@ def test_mu_inverse_round_trip_property(d, t):
     assert abs(mu(d, mu_inverse(d, t)) - t) <= 1e-8
 
 
+# recorded before the Bessel quadrature loops were merged into one core,
+# which keeps every floating-point operation of the d-fold i0e integrand
+_MU_RECORDED = {(1, 0.1): 0.8198039027185571, (1, 0.75): 0.3027756377407484,
+                (2, 0.25): 0.26146954170894066, (3, 0.1): 0.46194071806701825,
+                (3, 0.25): 0.00029148134311031057, (5, 0.1): 0.10981329561035347}
+_MU_INVERSE_RECORDED = {(1, 0.3): 0.7583333333356097, (2, 0.5): 0.147049320921407,
+                        (3, 0.1): 0.19279692011777108, (3, 0.9): 0.01695436558593974,
+                        (5, 0.5): 0.05285208496769167}
+
+
+def test_mu_and_inverse_values_unchanged():
+    for (d, kappa), want in _MU_RECORDED.items():
+        assert mu(d, kappa) == want
+    for (d, t), want in _MU_INVERSE_RECORDED.items():
+        assert mu_inverse(d, t) == want
+
+
 def test_mu_inverse_never_calls_mu(monkeypatch):
     def forbidden(*args):
         raise AssertionError("mu_inverse must not run a root-find over mu")
@@ -403,6 +420,9 @@ def test_lambda_spectral_radii_validation():
         lambda_spectral(params, [2, 2, 3])
     with pytest.raises(ValueError):
         lambda_spectral(params, [3, 1])
+    # the frame box has radius 2R; the message must name R as passed
+    with pytest.raises(ValueError, match=r"got R=-1\b"):
+        lambda_spectral(params, [-1, 2])
 
 
 def test_box_value_monotone_in_rates():

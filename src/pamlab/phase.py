@@ -12,8 +12,11 @@ p, a gap between the p-1 upper bound and the p lower bound certifies a window
 of kappa where lambda_{p-1} = 0 < lambda_p, i.e. genuine p-intermittency;
 `classify` searches for the smallest such p.  Certification discipline: upper
 bounds (which prove exponents vanish) and lower bounds (which prove they
-don't) come from different inequalities and are never mixed; the d >= 5
-lower bound is only trusted for moment order q when alpha_d > (q-1)/q.
+don't) come from different inequalities and are never mixed.  The d >= 5
+term opens a window for moment order q only where alpha_d > (q-1)/q: for
+rho > 0 that inequality is exactly n G_d(0) - rho n/(q alpha_d) >
+n G_d(0) - rho n/(q-1), i.e. the term exceeds the q-1 upper bound; so
+`classify` takes kappa_bounds' lower bound as it is.
 
 `sweep` evaluates a (kappa, rho, p) grid into a CSV with one row per point,
 with per-row failure isolation and an on-disk cursor for restarts.
@@ -73,17 +76,6 @@ class Regime:
         return self.label if self.q is None else f"{self.label}({self.q})"
 
 
-def _lower_parts(d: int, n: int, p: int, rho: float) -> tuple[float, float, float | None]:
-    l1 = n / (4.0 * d) * mu(d, rho / p, _TOL)
-    l2 = n * mu_inverse(d, 4.0 * d * rho / p, _TOL)
-    l3 = None
-    if d >= 5:
-        gz = greens.green_zero(d, _TOL).value
-        a = greens.alpha(d, _TOL).value
-        l3 = max(0.0, n * gz - rho * n / (p * a))
-    return l1, l2, l3
-
-
 def kappa_bounds(d: int, n: int, p: int, rho: float,
                  allow_infinite: bool = False) -> KappaBounds:
     """Certified bracket for the critical kappa of the p-th exponent.
@@ -102,8 +94,10 @@ def kappa_bounds(d: int, n: int, p: int, rho: float,
                 f"(pass allow_infinite=True for an inf-valued bracket)")
         return KappaBounds(d=d, n=n, p=p, rho=rho, lower=math.inf, upper=math.inf)
     gz = greens.green_zero(d, _TOL).value
-    l1, l2, l3 = _lower_parts(d, n, p, rho)
-    lower = max(l1, l2) if l3 is None else max(l1, l2, l3)
+    lower = max(n / (4.0 * d) * mu(d, rho / p, _TOL),
+                n * mu_inverse(d, 4.0 * d * rho / p, _TOL))
+    if d >= 5:
+        lower = max(lower, n * gz - rho * n / (p * greens.alpha(d, _TOL).value))
     upper = max(0.0, n * gz - n * rho / p)
     return KappaBounds(d=d, n=n, p=p, rho=rho, lower=lower, upper=upper)
 
@@ -138,13 +132,9 @@ def classify(d: int, n: int, kappa: float, rho: float) -> Regime:
                 justification=(
                     f"kappa >= n*G_d(0) = {n * gz!r}: "
                     f"all annealed exponents vanish"))
-        alpha_d = greens.alpha(d, _TOL).value if d >= 5 else 0.0
         for q in range(2, _MAX_CERTIFIED_Q + 1):
             upper_prev = kappa_bounds(d, n, q - 1, rho).upper
-            l1, l2, l3 = _lower_parts(d, n, q, rho)
-            lower_q = max(l1, l2)
-            if l3 is not None and alpha_d > (q - 1) / q:
-                lower_q = max(lower_q, l3)
+            lower_q = kappa_bounds(d, n, q, rho).lower
             if upper_prev <= kappa < lower_q:
                 return Regime(
                     label="CertifiedQIntermittent",
@@ -300,6 +290,10 @@ def sweep(d: int, n: int, p_values: Sequence[int], kappas: Sequence[float],
             raise ValueError(f"{name} must be nonempty")
         if any(b < a for a, b in zip(vals, list(vals)[1:])):
             raise ValueError(f"{name} must be sorted ascending, got {list(vals)}")
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be finite and > 0, got {tol}")
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     jobs = [(d, n, int(p), float(k), float(r), tuple(radii) if radii else None,
              cap_sites, tol)
             for k in kappas for r in rhos for p in p_values]

@@ -64,7 +64,6 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 from scipy import sparse
-from scipy.linalg import eigh_tridiagonal
 from scipy.optimize import brentq
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
@@ -128,11 +127,22 @@ class PamParams:
 
 @dataclass(frozen=True)
 class SolverOptions:
-    tol: float = 1e-8          # convergence: ||L v - theta v||_2 <= tol
-    max_iters: int = 800       # total operator applications allowed
-    basis_size: int = 40       # Krylov vectors kept per restart cycle
-    dense_cutoff: int = 600    # at most this many unknowns: dense; these are
-                               # orbits for lambda_spectral, sites for top_eigen
+    """Eigensolver settings.  Problems of at most _DENSE_CUTOFF unknowns are
+    diagonalized densely, larger ones by ARPACK; max_iters and basis_size
+    size ARPACK's restarts.  A solve converges only when our own residual
+    ||L v - theta v||_2 is at most tol."""
+
+    tol: float = 1e-8
+    max_iters: int = 800       # ARPACK gets max(4, max_iters // ncv) restarts
+    basis_size: int = 40       # ARPACK's Lanczos vectors ncv, capped at size - 1
+
+    def __post_init__(self):
+        if not (math.isfinite(self.tol) and self.tol > 0):
+            raise ValueError(f"tol must be finite and > 0, got {self.tol}")
+        if self.max_iters < 1:
+            raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
+        if self.basis_size < 2:
+            raise ValueError(f"basis_size must be >= 2, got {self.basis_size}")
 
 
 @dataclass(frozen=True)
@@ -142,7 +152,8 @@ class LyapunovEstimate:
     kind 'spectral' values are certified lower bounds (Rayleigh quotients on a
     Dirichlet box); error is then the residual-based bound on the distance to
     the box's own top eigenvalue, scaled to the lambda = theta/p axis, and
-    solver, dim and matvecs record how the eigenproblem was solved.
+    solver ("dense" or "arpack"), dim and matvecs record how the eigenproblem
+    was solved.
     """
 
     params: PamParams
@@ -151,7 +162,7 @@ class LyapunovEstimate:
     error: float
     radius: int | None = None
     converged: bool = True
-    solver: str | None = None    # "dense" | "arpack" | "arpack+lanczos" | "lanczos"
+    solver: str | None = None    # "dense" | "arpack"
     dim: int | None = None       # unknowns solved: orbits (lambda_spectral) or sites
     matvecs: int | None = None   # operator applications, dense assembly included
 
@@ -168,6 +179,19 @@ class ConvergenceError(RuntimeError):
 # ---------------------------------------------------------------------------
 # mu and its inverse
 # ---------------------------------------------------------------------------
+
+# The smallest tol mu and mu_inverse accept.  Their resolvent integrals are
+# asked for quad_tol = min(1e-12, 0.01*tol), and greens._certified_integral
+# cannot certify much below 1e-14 (its rounding term is 1e-15): at
+# tol = 1e-13 its error already exceeds quad_tol at d = 3 and d = 5.
+_MU_TOL_FLOOR = 1e-12
+
+
+def _check_mu_tol(tol: float) -> None:
+    if not tol >= _MU_TOL_FLOOR:
+        raise ValueError(
+            f"tol must be >= {_MU_TOL_FLOOR:g}, the certified quadrature floor; got {tol}")
+
 
 def _resolvent_minus_one(d: int, kappa: float, m: float, quad_tol: float) -> float:
     # int_0^inf e^{-m t} (e^{-2 kappa t} I0(2 kappa t))^d dt - 1, via u = kappa t.
@@ -205,12 +229,11 @@ def mu(d: int, kappa: float, tol: float = 1e-10) -> float:
     the unique positive root of the diagonal resolvent identity, found by
     bracketed root-finding over [tol/2, 1 + 4 d kappa] on certified quadrature
     values and clamped to [0, 1].  Continuous, non-increasing and convex in
-    kappa.
+    kappa.  tol must be at least 1e-12 (_MU_TOL_FLOOR).
     """
     if d < 1:
         raise ValueError(f"dimension must be >= 1, got d={d}")
-    if tol <= 0:
-        raise ValueError(f"tol must be positive, got {tol}")
+    _check_mu_tol(tol)
     if not (math.isfinite(kappa) and kappa >= 0):
         raise ValueError(f"kappa must be finite and >= 0, got {kappa}")
     return _mu_cached(d, float(kappa), float(tol))
@@ -255,12 +278,11 @@ def mu_inverse(d: int, t: float, tol: float = 1e-10) -> float:
     1/t - 1 > 0 as kappa -> 0; so it has one root, and mu(d, kappa) > t
     exactly where it is positive.  The bracket is [tol/(4d), G_d(0)] for
     d >= 3 and [tol/(4d), 2^j] for d <= 2, doubling until the residual
-    turns negative.
+    turns negative.  tol must be at least 1e-12, as for mu.
     """
     if d < 1:
         raise ValueError(f"dimension must be >= 1, got d={d}")
-    if tol <= 0:
-        raise ValueError(f"tol must be positive, got {tol}")
+    _check_mu_tol(tol)
     if not (math.isfinite(t) and t >= 0):
         raise ValueError(f"t must be finite and >= 0, got {t}")
     return _mu_inverse_cached(d, float(t), float(tol))
@@ -488,7 +510,7 @@ class _Solution(NamedTuple):
     vec: np.ndarray
     residual: float
     converged: bool
-    solver: str                # "dense" | "arpack" | "arpack+lanczos" | "lanczos"
+    solver: str                # "dense" | "arpack"
     matvecs: int
 
 
@@ -498,12 +520,17 @@ def _start_vector(box: Box) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
+# At most this many unknowns (orbits for lambda_spectral, sites for
+# top_eigen) are diagonalized densely; larger problems go to ARPACK.
+_DENSE_CUTOFF = 600
+
+
 def _top_pair(matvec, v0: np.ndarray, opts: SolverOptions, scale: float) -> _Solution:
     """Top eigenpair of the symmetric operator matvec, densely at most
-    dense_cutoff unknowns, else by _krylov_top from v0; converged means
+    _DENSE_CUTOFF unknowns, else by _krylov_top from v0; converged means
     residual ||A v - theta v||_2 <= opts.tol.  scale bounds ||A||."""
     size = v0.size
-    if size > opts.dense_cutoff:
+    if size > _DENSE_CUTOFF:
         return _krylov_top(matvec, v0, opts, scale)
     A = np.empty((size, size))
     e = np.zeros(size)
@@ -518,65 +545,15 @@ def _top_pair(matvec, v0: np.ndarray, opts: SolverOptions, scale: float) -> _Sol
     return _Solution(theta, vec, res, res <= opts.tol, "dense", size + 1)
 
 
-def _restarted_lanczos(matvec, v0: np.ndarray, opts: SolverOptions,
-                       budget: int) -> _Solution:
-    """Lanczos with full reorthogonalization, restarting from the top Ritz vector.
-
-    Memory is bounded by basis_size stored vectors, and the operator is
-    applied at most budget times.  The Ritz value is a Rayleigh quotient, so
-    even an unconverged iterate respects the lower-bound semantics.
-    """
-    v = v0 / np.linalg.norm(v0)
-    matvecs = 0
-    theta, u, res = -np.inf, v, np.inf
-    while matvecs < budget:
-        V = [v]
-        alphas: list[float] = []
-        betas: list[float] = []
-        broke_down = False
-        while len(alphas) < opts.basis_size and matvecs < budget:
-            w = matvec(V[-1])
-            matvecs += 1
-            a = float(np.dot(V[-1], w))
-            alphas.append(a)
-            w -= a * V[-1]
-            if betas:
-                w -= betas[-1] * V[-2]
-            for q in V:  # full reorthogonalization
-                w -= np.dot(q, w) * q
-            b = float(np.linalg.norm(w))
-            if b < 1e-13 * (1.0 + abs(a)):
-                broke_down = True
-                break
-            betas.append(b)
-            V.append(w / b)
-        k = len(alphas)
-        evals, evecs = eigh_tridiagonal(np.array(alphas), np.array(betas[: k - 1]),
-                                        select="i", select_range=(k - 1, k - 1))
-        theta = float(evals[0])
-        y = evecs[:, 0]
-        u = sum(y[i] * V[i] for i in range(k))
-        u /= np.linalg.norm(u)
-        res = float(np.linalg.norm(matvec(u) - theta * u))
-        matvecs += 1
-        if res <= opts.tol:
-            return _Solution(theta, u, res, True, "lanczos", matvecs)
-        if broke_down:
-            # invariant subspace without convergence: deterministically perturb
-            rng = np.random.Generator(np.random.Philox(key=np.uint64(matvecs)))
-            u = u + 1e-8 * rng.standard_normal(u.size)
-            u /= np.linalg.norm(u)
-        v = u
-    return _Solution(theta, u, res, False, "lanczos", matvecs)
-
-
 def _krylov_top(matvec, v0: np.ndarray, opts: SolverOptions, scale: float) -> _Solution:
     """Implicitly-restarted Lanczos (ARPACK) plus explicit residual certification.
 
     ARPACK's stopping rule is relative and internal; convergence here is
-    declared only from our own residual ||A v - theta v|| <= opts.tol.  If
-    ARPACK stalls, a restarted full-reorthogonalization Lanczos polishes its
-    best iterate within the remaining matvec budget.
+    declared only from our own residual ||A v - theta v|| <= opts.tol, and a
+    pair that misses it is returned unconverged.  With k=1, ARPACK raises
+    ArpackNoConvergence only when no Ritz value converged, and then returns
+    none; the best iterate is then the unit start vector.  Either way theta
+    is a Rayleigh quotient, so even an unconverged pair is a lower bound.
     """
     mv_count = 0
 
@@ -588,24 +565,19 @@ def _krylov_top(matvec, v0: np.ndarray, opts: SolverOptions, scale: float) -> _S
     size = v0.size
     A = LinearOperator((size, size), matvec=counted, dtype=np.float64)
     ncv = min(opts.basis_size, size - 1)
-    theta, u = None, None
     try:
         w, V = eigsh(A, k=1, which="LA", v0=v0, ncv=ncv,
                      maxiter=max(4, opts.max_iters // ncv),
                      tol=0.1 * opts.tol / scale)
+    except ArpackNoConvergence:
+        u = v0 / np.linalg.norm(v0)
+        Au = matvec(u)
+        theta = float(np.dot(u, Au))
+    else:
         theta, u = float(w[0]), V[:, 0]
-    except ArpackNoConvergence as exc:
-        if len(exc.eigenvalues):
-            theta, u = float(exc.eigenvalues[0]), exc.eigenvectors[:, 0]
-    if u is None:
-        sol = _restarted_lanczos(matvec, v0, opts, opts.max_iters)
-        return sol._replace(solver="arpack+lanczos", matvecs=mv_count + sol.matvecs)
-    res = float(np.linalg.norm(matvec(u) - theta * u))
-    if res <= opts.tol:
-        return _Solution(theta, u, res, True, "arpack", mv_count + 1)
-    remaining = max(opts.max_iters - mv_count, 2 * opts.basis_size)
-    sol = _restarted_lanczos(matvec, u, opts, remaining)
-    return sol._replace(solver="arpack+lanczos", matvecs=mv_count + 1 + sol.matvecs)
+        Au = matvec(u)
+    res = float(np.linalg.norm(Au - theta * u))
+    return _Solution(theta, u, res, res <= opts.tol, "arpack", mv_count + 1)
 
 
 def _shift(params: PamParams) -> float:
@@ -628,7 +600,7 @@ def _certified(params: PamParams, R: int, shift: float, sol: _Solution,
                            dim=sol.vec.size, matvecs=sol.matvecs)
     if not sol.converged:
         how = ("by dense diagonalization" if sol.solver == "dense"
-               else f"within {opts.max_iters} operator applications")
+               else f"after {sol.matvecs} operator applications")
         raise ConvergenceError(
             f"eigensolver did not reach residual {opts.tol:g} {how} "
             f"(best value {value:.12g}, residual {sol.residual:.3g})",

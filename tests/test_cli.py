@@ -286,6 +286,25 @@ def test_tensor_gap_text(capsys):
     assert "lambda1" in out and "gap" in out and "rayleigh2" in out
 
 
+@pytest.mark.parametrize("argv", [
+    ("mu", "--d", "3", "--kappa", "0.1", "--tol", "1e-14"),
+    ("lambda-spectral", "--d", "1", "--n", "1", "--p", "1", "--kappa", "0.25",
+     "--rho", "0.25", "--radius", "2", "--tol", "0"),
+    ("tensor-gap", "--d", "1", "--n", "1", "--kappa", "0.25", "--rho", "0.25",
+     "--radius", "2", "--tol", "-1"),
+    ("phase", "--d", "1", "--n", "1", "--kappa", "0.1", "--rho", "0.1",
+     "--radii", "1", "--tol", "-1"),
+    ("phase", "--d", "1", "--n", "1", "--kappa", "0.1", "--rho", "0.1",
+     "--radii", "1", "--workers", "0"),
+], ids=["mu-tol-floor", "lambda-spectral-tol", "tensor-gap-tol", "phase-tol",
+        "phase-workers"])
+def test_bad_solver_inputs_are_usage_errors(capsys, tmp_path, argv):
+    out = tmp_path / "g.csv"
+    code, _, err = run(capsys, *argv, "--out", str(out))
+    assert code == 2 and err.startswith("error:")
+    assert not out.exists()
+
+
 def test_installed_entry_point():
     exe = shutil.which("pam")
     assert exe, "console script `pam` should be installed"

@@ -17,6 +17,7 @@ from pamlab.phase import (
     kappa_bounds,
     sweep,
 )
+from pamlab.spectral import mu, mu_inverse
 
 _TOL = 1e-10  # matches the module-internal evaluation tolerance
 
@@ -122,6 +123,60 @@ def test_classify_progression_in_kappa():
               for k in (0.5 * hi1, 0.5 * (hi1 + lo2), 0.5 * (lo2 + gz), 1.5 * gz)]
     assert labels == ["PartialIntermittent", "CertifiedQIntermittent",
                       "PartialIntermittent", "NotIntermittent"]
+
+
+def _mu_lower(d, n, q, rho):
+    """The two lower bounds on the critical kappa that hold in every d >= 3."""
+    return max(n / (4.0 * d) * mu(d, rho / q, _TOL),
+               n * mu_inverse(d, 4.0 * d * rho / q, _TOL))
+
+
+def _alpha_checked_regime(d, n, kappa, rho):
+    """The rule classify used to follow: the d >= 5 lower bound counted for
+    moment order q only when alpha_d > (q-1)/q.  Returns the label and, for
+    a window, its lower end."""
+    gz = greens.green_zero(d, _TOL).value
+    if kappa >= n * gz:
+        return "NotIntermittent", None
+    alpha_d = greens.alpha(d, _TOL).value
+    for q in range(2, 9):
+        upper_prev = kappa_bounds(d, n, q - 1, rho).upper
+        lower_q = _mu_lower(d, n, q, rho)
+        if alpha_d > (q - 1) / q:
+            lower_q = max(lower_q, n * gz - rho * n / (q * alpha_d))
+        if upper_prev <= kappa < lower_q:
+            return f"CertifiedQIntermittent({q})", lower_q
+    return "PartialIntermittent", None
+
+
+def test_classify_matches_the_alpha_checked_rule():
+    # kappa runs over every bound's end point and the midpoints between them,
+    # so each window of either rule is hit.  alpha_5 = 0.598 < 2/3, so at
+    # d=5 the old rule drops the d >= 5 term from q = 3 on, also where that
+    # term is the largest lower bound; it is then never above the q-1 upper
+    # bound, so no window changes
+    dropped = set()
+    for d in (5, 6):
+        gz = greens.green_zero(d, _TOL).value
+        alpha_d = greens.alpha(d, _TOL).value
+        for n in (1, 2):
+            for rho in (0.05 * gz, 0.2 * gz, 0.5 * gz):
+                ends = set()
+                for q in range(2, 9):
+                    kb = kappa_bounds(d, n, q, rho)
+                    upper_prev = kappa_bounds(d, n, q - 1, rho).upper
+                    ends |= {kb.lower, upper_prev}
+                    if alpha_d <= (q - 1) / q and kb.lower > _mu_lower(d, n, q, rho):
+                        dropped.add((d, q))
+                ends = sorted(ends)
+                kappas = ends + [0.5 * (a + b) for a, b in zip(ends, ends[1:])]
+                for kappa in kappas:
+                    got = classify(d, n, kappa, rho)
+                    label, lower_q = _alpha_checked_regime(d, n, kappa, rho)
+                    assert str(got) == label, (d, n, kappa, rho)
+                    if lower_q is not None:
+                        assert f"< {lower_q!r} =" in got.justification
+    assert (5, 3) in dropped
 
 
 def test_classify_validation():
@@ -339,6 +394,15 @@ def test_sweep_validation(tmp_path):
         sweep(1, 1, [1], [0.3, 0.1], [0.1], out)
     with pytest.raises(ValueError):
         sweep(1, 1, [1], [0.1], [0.2, 0.1], out)
+
+
+@pytest.mark.parametrize("bad", [dict(tol=0.0), dict(tol=-1.0), dict(tol=math.inf),
+                                 dict(tol=math.nan), dict(workers=0)])
+def test_sweep_rejects_bad_solver_inputs_before_writing(tmp_path, bad):
+    out = tmp_path / "v.csv"
+    with pytest.raises(ValueError):
+        sweep(1, 1, [1], [0.1], [0.1], str(out), radii=[1], **bad)
+    assert not out.exists()
 
 
 def test_sweep_interrupt_cancels_pending_rows(tmp_path, monkeypatch):

@@ -183,6 +183,17 @@ def test_mu_validation():
         mu(1, 0.1, tol=0.0)
 
 
+def test_mu_tolerance_floor():
+    # below 1e-12 the resolvent quadrature can no longer certify its integrals
+    assert mu(3, 0.1, 1e-12) == pytest.approx(mu(3, 0.1), abs=1e-10)
+    assert mu_inverse(3, 0.5, 1e-12) == pytest.approx(mu_inverse(3, 0.5), abs=1e-10)
+    for tol in (1e-13, 1e-14):
+        with pytest.raises(ValueError, match="1e-12"):
+            mu(3, 0.1, tol)
+        with pytest.raises(ValueError, match="1e-12"):
+            mu_inverse(3, 0.5, tol)
+
+
 def test_mu_inverse_anchors():
     assert mu_inverse(3, 1.0) == 0.0
     assert mu_inverse(5, 2.5) == 0.0
@@ -494,6 +505,45 @@ def test_dense_path_certifies_residual():
     assert err.best.value == pytest.approx(math.sqrt(2.0) - 1.0, abs=1e-8)
     with pytest.raises(ConvergenceError):
         top_eigen(params, 2, SolverOptions(tol=1e-16))      # 25-site full box
+
+
+@pytest.mark.parametrize("solve", [
+    lambda params, opts: top_eigen(params, 20, opts),            # 1,681 sites
+    lambda params, opts: lambda_spectral(params, [400], opts),   # 801 orbits
+], ids=["top_eigen", "quotient"])
+def test_krylov_path_returns_arpack_pair_unconverged(solve):
+    # above the dense cutoff: ARPACK's residual ~1e-15 cannot reach 1e-16
+    params = PamParams(d=1, n=1, p=1, kappa=0.25, rho=0.25)
+    with pytest.raises(ConvergenceError) as exc:
+        solve(params, SolverOptions(tol=1e-16))
+    best = exc.value.best
+    assert best.solver == "arpack" and not best.converged
+    assert best.value <= math.sqrt(2.0) - 1.0 + 1e-9
+
+
+def test_arpack_failure_reports_the_start_vector():
+    # ARPACK converges no Ritz value here; the best iterate is then the
+    # Rayleigh quotient of the start vector, one operator application more
+    params = PamParams(d=1, n=1, p=1, kappa=0.25, rho=0.25)
+    with pytest.raises(ConvergenceError) as exc:
+        top_eigen(params, 40, SolverOptions(tol=1e-13, max_iters=8, basis_size=4))
+    op = _operator(params, 40)
+    shift = spectral._shift(params)
+    v0 = spectral._start_vector(op.box)
+    Av = _apply_flat(op, v0, shift)
+    theta = float(np.dot(v0, Av))
+    best = exc.value.best
+    assert best.solver == "arpack"
+    assert best.value == pytest.approx(theta - shift, abs=1e-12)
+    assert exc.value.residual == pytest.approx(np.linalg.norm(Av - theta * v0), rel=1e-12)
+
+
+@pytest.mark.parametrize("bad", [
+    dict(tol=0.0), dict(tol=-1.0), dict(tol=math.inf), dict(tol=math.nan),
+    dict(max_iters=0), dict(basis_size=1)])
+def test_solver_options_validation(bad):
+    with pytest.raises(ValueError):
+        SolverOptions(**bad)
 
 
 # ---------------------------------------------------------------------------

@@ -28,9 +28,16 @@ _horizon so that (b) is at most tol/4.  The envelope,
 
 for x >= 60 (and its order-k analogues), is validated against an independent
 power-series oracle in the test suite, so the tail contribution to abs_error
-is a certified bound rather than a heuristic.  green_box_values alone uses
-a fixed-node mode: the same horizon and tail midpoint, 48 nodes per panel and
-no error check, because its one consumer is a Rayleigh-type ratio.
+is a certified bound rather than a heuristic.  The envelope's power
+integrals int_T^inf e^{-nu t} t^{-sigma} dt are float evaluations with a
+proven error (_tail_power_err: a power series or a positive continued
+fraction for the incomplete gamma function, whose truncation is bracketed,
+plus a running rounding bound under a stated libm accuracy); that error
+widens the tail half-width and never moves the midpoint.
+
+green_box_values alone uses a fixed-node mode: the same horizon and tail
+midpoint, 48 nodes per panel and no error check, because its one consumer is
+a Rayleigh-type ratio.
 """
 from __future__ import annotations
 
@@ -40,7 +47,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence, Tuple
 
-import mpmath
 import numpy as np
 from scipy.special import i0e, ive
 
@@ -127,13 +133,160 @@ def _edges(scale: float, T: float) -> np.ndarray:
     return np.array(e)
 
 
-def _tail_power(sigma: float, nu: float, T: float) -> float:
-    """int_T^inf e^{-nu t} t^{-sigma} dt (requires nu > 0 or sigma > 1)."""
+# Rounding model of the float tail route below: IEEE double arithmetic with
+# unit roundoff _U (+ - * / sqrt correctly rounded), and libm exp, log and
+# pow accurate to 2 ulp, i.e. relative error _LIBM = 4u (an assumed margin
+# over libm's own accuracy; the test suite checks the resulting bounds
+# against 30-digit values).  Each step's error is propagated to first
+# order; the 1.01 factors cover the second-order terms and the rounding of
+# the error sums themselves, relative perturbations below 1e-8 for the
+# <= 10^4 steps taken.  Quantities that underflow err by less than 1e-307
+# each; _UNDERFLOW covers them.
+_U = 2.0 ** -53
+_LIBM = 4.0 * _U
+_UNDERFLOW = 1e-300
+_EULER_GAMMA = 0.5772156649015329
+_X_CF = 1.0   # switch-over: power series plus recurrence below, continued fraction above
+
+
+def _alternating_sum(terms) -> Tuple[float, float]:
+    """(s, abs_error) for s = t_0 - t_1 + t_2 - ... from (t_k, relerr_k) pairs.
+
+    The exact terms must decrease in magnitude, so the truncated remainder is
+    at most the first neglected term; summation stops once that term is
+    below 2^-60 |s|.
+    """
+    s = err = 0.0
+    for k, (t, rel) in enumerate(terms):
+        if t <= 2.0 ** -60 * abs(s):
+            return s, err + t * (1.0 + rel)
+        s = s - t if k & 1 else s + t
+        err += t * rel + _U * abs(s)
+
+
+def _series_terms(x: float, first: int, denom):
+    """(x^k/k!/denom(k), relerr) for k >= first; p *= x/k costs 2u per step."""
+    p, k = 1.0, 0
+    while True:
+        if k >= first:
+            yield p / denom(k), (2 * k + 1) * _U
+        k += 1
+        p *= x / k
+
+
+def _scaled_gamma_series(a: float, x: float) -> Tuple[float, float]:
+    """(h, abs_error), h = x^-a Gamma(a, x) for a in {0, 1/2} and 0 < x <= 1.
+
+    Both series alternate with terms decreasing for x <= 1:
+      h(0, x)   = E1(x) = -gamma - ln x + sum_{k>=1} (-1)^{k+1} x^k / (k k!)
+      h(1/2, x) = sqrt(pi/x) - 2 sum_{k>=0} (-x)^k / (k! (2k+1)).
+    """
+    if a == 0.0:
+        s, s_err = _alternating_sum(_series_terms(x, 1, lambda k: k))
+        lg = math.log(x)
+        head = -_EULER_GAMMA - lg
+        head_err = _U * _EULER_GAMMA + _LIBM * abs(lg) + _U * abs(head)
+        h = head + s
+        return h, head_err + s_err + _U * abs(h)
+    s, s_err = _alternating_sum(_series_terms(x, 0, lambda k: 2 * k + 1))
+    head = math.sqrt(math.pi / x)   # pi, the division and sqrt: within 2u
+    h = head - 2.0 * s
+    return h, 2.0 * _U * head + 2.0 * s_err + _U * abs(h)
+
+
+def _cf_pass(a: float, x: float, n: int) -> Tuple[float, float]:
+    """(f_n, relerr): the n-th approximant of (DLMF 8.9.2)
+
+        e^x x^-a Gamma(a, x) = 1/(x + (1-a)/(1 + 1/(x + (2-a)/(1 + 2/(x + ...)))))
+
+    evaluated bottom-up.  Every element is positive for a < 1, so each
+    level's relative error is damped by t/(b+t) < 1 before 2u is added.
+    """
+    t = rel = 0.0
+    for k in range(n, 0, -1):
+        if k & 1:
+            c, s = (k + 1) // 2 - a, 1.0 + t
+        else:
+            c, s = k // 2, x + t
+        rel = rel * t / s + 2.0 * _U
+        t = c / s
+    s = x + t
+    return 1.0 / s, rel * t / s + 2.0 * _U
+
+
+def _scaled_gamma_cf(a: float, x: float) -> Tuple[float, float]:
+    """(f, abs_error), f = e^x x^-a Gamma(a, x) for a < 1 and x > _X_CF.
+
+    A continued fraction with positive elements has its value strictly
+    between any two consecutive approximants (each level is a decreasing
+    map of the tail below it, and the true tail lies in (0, inf)), so
+    |f - f_{n+1}| <= |f_n - f_{n+1}|.  The depth 12 + 260/x meets the 2^-56
+    stopping test for every a in [-3.5, 1/2]; it doubles otherwise.
+    """
+    n = 12 + int(260.0 / x)
+    while True:
+        f0, r0 = _cf_pass(a, x, n)
+        f1, r1 = _cf_pass(a, x, n + 1)
+        if abs(f0 - f1) <= 2.0 ** -56 * f1 or n > 4096:
+            return f1, abs(f0 - f1) + r0 * f0 + 2.0 * r1 * f1
+        n *= 2
+
+
+def _scaled_gamma(a: float, x: float) -> Tuple[float, float]:
+    """(h, abs_error), h = x^-a Gamma(a, x) = int_1^inf e^{-x s} s^{a-1} ds.
+
+    a must be in {1/2, 0, -1/2, -1, ...}.  For x > _X_CF the continued
+    fraction gives h directly.  Otherwise the series gives h at the b in
+    {0, 1/2} with b - a integral, and x h(b) = (b-1) h(b-1) + e^{-x} recurs
+    down to a; for x <= 1 the e^{-x} term dominates x h(b), so the
+    cancellation costs a bounded factor, which the running bound tracks.
+    """
+    if not (a <= 0.5 and 2.0 * a == round(2.0 * a)):
+        raise ValueError(f"tail power needs sigma in {{1/2, 1, 3/2, ...}}, got {1.0 - a}")
+    E = math.exp(-x)
+    if x > _X_CF:
+        f, f_err = _scaled_gamma_cf(a, x)
+        h = E * f
+        return h, 1.01 * h * (f_err / f + _LIBM + _U) + _UNDERFLOW
+    b = 0.5 if 2.0 * a % 2.0 else 0.0
+    h, err = _scaled_gamma_series(b, x)
+    while b > a:    # h(b-1) = (e^{-x} - x h(b)) / (1-b)
+        num = E - x * h
+        err = (_LIBM * E + x * err + _U * x * h + _U * abs(num)) / (1.0 - b)
+        h = num / (1.0 - b)
+        err += _U * abs(h)
+        b -= 1.0
+    return h, 1.01 * err + _UNDERFLOW
+
+
+def _tail_power_err(sigma: float, nu: float, T: float) -> Tuple[float, float]:
+    """(value, abs_error) for int_T^inf e^{-nu t} t^{-sigma} dt.
+
+    Requires nu > 0 or sigma > 1, and for nu > 0 sigma in {1/2, 1, 3/2, ...}
+    (_tail_bracket asks for sigma = d/2 - w + j).  For nu = 0 it is the
+    closed power form with abs_error 0: its few roundings are covered by
+    _certified_integral's rounding term.  For nu > 0 the integral is T^a h(a, x) with
+    a = 1 - sigma, x = nu T and h = _scaled_gamma; abs_error adds the
+    rounding of x = fl(nu T): |dh/dx| = h(a+1, x), and
+    x h(a+1, x) = a h(a, x) + e^{-x}, so it moves h by at most
+    u (max(a, 0) h + e^{-x}).
+    """
     if nu == 0.0:
         if sigma <= 1.0:
             raise ValueError("power tail diverges")
-        return T ** (1.0 - sigma) / (sigma - 1.0)
-    return float(mpmath.gammainc(1.0 - sigma, nu * T)) * nu ** (sigma - 1.0)
+        return T ** (1.0 - sigma) / (sigma - 1.0), 0.0
+    a = 1.0 - sigma
+    x = nu * T
+    h, h_err = _scaled_gamma(a, x)
+    h_err += 1.01 * _U * (max(a, 0.0) * h + math.exp(-x))
+    Ta = T ** a
+    value = Ta * h
+    return value, 1.01 * (Ta * h_err + (_LIBM + _U) * value) + _UNDERFLOW
+
+
+def _tail_power(sigma: float, nu: float, T: float) -> float:
+    """int_T^inf e^{-nu t} t^{-sigma} dt: the value of _tail_power_err."""
+    return _tail_power_err(sigma, nu, T)[0]
 
 
 def _product_envelope(ks: Sequence[int], T: float) -> Tuple[float, float]:
@@ -157,11 +310,12 @@ def _tail_bracket(ks: Sequence[int], weight: int, nu: float, T: float) -> Tuple[
     s = 0.5 * d - weight
     A, B = _product_envelope(ks, T)
     pref = (4.0 * math.pi) ** (-0.5 * d)
-    p0 = _tail_power(s, nu, T)
-    p1 = _tail_power(s + 1.0, nu, T)
-    p2 = _tail_power(s + 2.0, nu, T)
+    p0, e0 = _tail_power_err(s, nu, T)
+    p1, e1 = _tail_power_err(s + 1.0, nu, T)
+    p2, e2 = _tail_power_err(s + 2.0, nu, T)
     mid = pref * (p0 + A * p1)
-    half = pref * B * p2
+    # the tail powers' errors widen the bracket only (they are 0 for nu = 0)
+    half = pref * B * p2 + pref * (e0 + abs(A) * e1 + B * e2)
     return mid, half
 
 

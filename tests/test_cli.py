@@ -1,8 +1,10 @@
 """End-to-end CLI behavior: parsing, config manifests, formats, exit codes."""
 import json
 import math
+import os
 import shutil
 import subprocess
+import sys
 
 import pytest
 
@@ -312,3 +314,14 @@ def test_installed_entry_point():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0
     assert float(proc.stdout) == pytest.approx(math.sqrt(2) - 1, abs=1e-8)
+
+
+def test_cli_import_leaves_mpmath_out():
+    # mpmath is a test oracle only; importing it would add tens of ms to
+    # every command's set-up
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, pamlab.cli; print('mpmath' in sys.modules)"],
+        capture_output=True, text=True, timeout=120, env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

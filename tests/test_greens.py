@@ -98,6 +98,36 @@ def test_tail_power_oracle():
         greens._tail_power(0.9, 0.0, 60.0)
 
 
+def _tail_grid():
+    sigmas = [0.5 * j for j in range(1, 10)]
+    grid = [(s, nu, 60.0 * 2 ** j) for s in sigmas
+            for nu in (1e-10, 1e-6, 1e-3, 0.1, 1.0, 10.0, 1e3)
+            for j in range(21)]
+    # both sides of the series / continued-fraction switch-over at x = nu*T
+    x_cf = greens._X_CF
+    grid += [(s, x / 60.0, 60.0) for s in sigmas
+             for x in (0.5 * x_cf, x_cf * (1 - 1e-12), x_cf * (1 + 1e-12), 2.0 * x_cf)]
+    # where a 40-node Gauss-Laguerre stand-in was about 100% wrong
+    grid.append((3.5, 1e-6, 60.0))
+    return grid
+
+
+def test_tail_power_err_contains_gammainc():
+    # the float route's (value, abs_error) brackets int_T^inf e^{-nu t} t^{-sigma} dt
+    # = nu^(sigma-1) Gamma(1-sigma, nu T), evaluated by mpmath at 30 digits
+    with mp.workdps(30):
+        for sigma, nu, T in _tail_grid():
+            value, err = greens._tail_power_err(sigma, nu, T)
+            s, x = mp.mpf(sigma), mp.mpf(nu) * mp.mpf(T)
+            want = mp.gammainc(1 - s, x) * mp.mpf(nu) ** (s - 1)
+            assert abs(mp.mpf(value) - want) <= err, (sigma, nu, T)
+            if want > 1e-250:   # and tight: at most a few hundred ulps
+                assert err <= 1e-12 * float(want), (sigma, nu, T)
+    for sigma in (2.25, 0.0):
+        with pytest.raises(ValueError, match="tail power needs sigma"):
+            greens._tail_power_err(sigma, 0.1, 60.0)
+
+
 def test_tail_bracket_contains_truth():
     # d=5 mixed orders: the certified bracket must contain the mpmath value
     ks, T = (0, 0, 0, 1, 2), 60.0
@@ -121,7 +151,9 @@ def bessel_product_oracle(ks, weight, nu):
 
 @pytest.mark.parametrize("ks, weight, nu", [
     *(((0, 0, 0, 1, 2), w, nu) for w in (0, 1) for nu in (0.0, 0.3, 5.0)),
-    ((0, 0, 0), 0, 0.3), ((0, 0, 0), 1, 0.3)])
+    ((0, 0, 0), 0, 0.3), ((0, 0, 0), 1, 0.3),
+    # the regime of spectral.mu: nu > 0 at low dimension
+    *(((0,) * d, 0, nu) for d in (1, 2) for nu in (0.05, 1.0))])
 def test_certified_integral_contains_oracle(ks, weight, nu):
     value, err = greens._certified_integral(ks, weight, nu, 1e-9)
     assert err <= 1e-9

@@ -27,7 +27,6 @@ from .spectral import (
     ConvergenceError,
     LyapunovEstimate,
     PamParams,
-    SolverOptions,
     apply_generator,
     check_gn,
     f0_rayleigh,
@@ -53,7 +52,7 @@ __all__ = [
     "grad_sq_norm", "norms", "inner",
     "GreenEstimate", "green_zero", "green_at", "green_l2sq", "alpha",
     "heat_kernel_diag",
-    "PamParams", "SolverOptions", "LyapunovEstimate", "ConvergenceError",
+    "PamParams", "LyapunovEstimate", "ConvergenceError",
     "mu", "mu_inverse", "apply_generator", "top_eigen", "lambda_spectral",
     "tensor_gap", "check_gn", "f0_rayleigh",
     "JumpPath", "McEstimate", "sample_path", "collision_time", "lambda_mc",

@@ -29,7 +29,6 @@ from .phase import PHASE_CSV_HEADER, sweep, write_atomic
 from .spectral import (
     ConvergenceError,
     PamParams,
-    SolverOptions,
     check_gn,
     lambda_spectral,
     mu,
@@ -209,7 +208,7 @@ def cmd_lambda_spectral(cfg: dict) -> CommandResult:
         radii = [cfg["radius"]]
     else:
         raise CliParamError("one of --radius or --radii is required")
-    ests = lambda_spectral(params, radii, SolverOptions(tol=cfg["tol"]))
+    ests = lambda_spectral(params, radii, cfg["tol"])
     payload = {
         "params": vars(params).copy(),
         "estimates": [{"R": e.radius, "lambda_box": e.value, "residual": e.error,
@@ -307,7 +306,7 @@ def cmd_check_gn(cfg: dict) -> CommandResult:
 def cmd_tensor_gap(cfg: dict) -> CommandResult:
     params = PamParams(d=cfg["d"], n=cfg["n"], p=1,
                        kappa=cfg["kappa"], rho=cfg["rho"])
-    tg = tensor_gap(params, cfg["radius"], SolverOptions(tol=cfg["tol"]))
+    tg = tensor_gap(params, cfg["radius"], cfg["tol"])
     payload = {"params": vars(params).copy(), "R": cfg["radius"],
                "lambda1": tg.lambda1, "gap": tg.gap, "rayleigh2": tg.rayleigh2}
     text = (f"lambda1 {_fmt(tg.lambda1)}  gap {_fmt(tg.gap)}  "

@@ -284,11 +284,6 @@ def _tail_power_err(sigma: float, nu: float, T: float) -> Tuple[float, float]:
     return value, 1.01 * (Ta * h_err + (_LIBM + _U) * value) + _UNDERFLOW
 
 
-def _tail_power(sigma: float, nu: float, T: float) -> float:
-    """int_T^inf e^{-nu t} t^{-sigma} dt: the value of _tail_power_err."""
-    return _tail_power_err(sigma, nu, T)[0]
-
-
 def _product_envelope(ks: Sequence[int], T: float) -> Tuple[float, float]:
     """(A, B) with |(4 pi t)^{d/2} prod_i ive(k_i, 2t) - 1 - A/t| <= B/t^2 on [T,inf).
 

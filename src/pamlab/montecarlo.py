@@ -71,7 +71,6 @@ class JumpPath:
     """
 
     d: int
-    rate: float
     start: Tuple[int, ...]
     events: Tuple[Tuple[float, int, int], ...]
     horizon: float
@@ -195,8 +194,7 @@ def sample_path(d: int, nu: float, t_end: float,
     """
     epochs, axes, signs = _draw(d, nu, t_end, rng_stream)
     events = tuple(zip(epochs.tolist(), axes.tolist(), signs.tolist()))
-    return JumpPath(d=d, rate=2.0 * d * nu, start=(0,) * d, events=events,
-                    horizon=float(t_end))
+    return JumpPath(d=d, start=(0,) * d, events=events, horizon=float(t_end))
 
 
 def _collision_measures(t: float, p: int, n: int, counts: np.ndarray,
@@ -335,14 +333,13 @@ def lambda_mc(params: PamParams, t: float, samples: int, seed: int,
 
 
 def pde_moment_oracle(params: PamParams, R: int, t: float,
-                      catalyst_paths: Sequence[JumpPath],
-                      quad_substeps: int = 1) -> float:
+                      catalyst_paths: Sequence[JumpPath]) -> float:
     """u(0, t) for one fixed catalyst realization, by direct integration.
 
     Solves du/ds = kappa*Delta u + xi(., s) u on the radius-R box (Dirichlet)
-    with u(., 0) = 1 and xi(x, s) = sum_k delta_x(Y_k(s)), using exact sparse
-    exponential steps on the intervals where xi is constant (between catalyst
-    jump epochs), each split into quad_substeps exponential substeps.  The
+    with u(., 0) = 1 and xi(x, s) = sum_k delta_x(Y_k(s)), using one exact
+    sparse exponential step (expm_multiply) per interval where xi is constant
+    (between catalyst jump epochs), so there is no time discretization.  The
     caller picks R large enough for the boundary leak (logged as a diagnostic)
     to be negligible at the desired accuracy.
     """
@@ -351,8 +348,6 @@ def pde_moment_oracle(params: PamParams, R: int, t: float,
             f"need {params.n} catalyst paths, got {len(catalyst_paths)}")
     if t < 0:
         raise ValueError(f"time must be >= 0, got t={t}")
-    if quad_substeps < 1:
-        raise ValueError(f"quad_substeps must be >= 1, got {quad_substeps}")
     for path in catalyst_paths:
         if path.horizon < t:
             raise ValueError(
@@ -385,9 +380,7 @@ def pde_moment_oracle(params: PamParams, R: int, t: float,
             if all(abs(c) <= R for c in pos):
                 xi[box.index(pos)] += 1.0
         A = (params.kappa * lap + sparse.diags(xi)) if params.kappa else sparse.diags(xi)
-        dt = (b - a) / quad_substeps
-        for _ in range(quad_substeps):
-            u = expm_multiply(A * dt, u)
+        u = expm_multiply(A * (b - a), u)
     total = float(np.sum(u))
     logger.debug("pde_moment_oracle: box mass %.6g after t=%g (leak diagnostic)",
                  total / box.size, t)

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from . import greens
-from .spectral import ConvergenceError, PamParams, SolverOptions, lambda_spectral, mu, mu_inverse
+from .spectral import ConvergenceError, PamParams, lambda_spectral, mu, mu_inverse
 
 __all__ = [
     "KappaBounds",
@@ -76,23 +76,18 @@ class Regime:
         return self.label if self.q is None else f"{self.label}({self.q})"
 
 
-def kappa_bounds(d: int, n: int, p: int, rho: float,
-                 allow_infinite: bool = False) -> KappaBounds:
+def kappa_bounds(d: int, n: int, p: int, rho: float) -> KappaBounds:
     """Certified bracket for the critical kappa of the p-th exponent.
 
-    d <= 2 has no finite critical kappa; that is an error unless the caller
-    opts in to an infinite-valued bracket via allow_infinite.
+    Needs d >= 3: for d <= 2 the critical kappa is infinite, and asking for
+    its bracket raises ValueError.
     """
     if n < 1 or p < 1:
         raise ValueError(f"n and p must be positive, got n={n}, p={p}")
     if not (math.isfinite(rho) and rho >= 0):
         raise ValueError(f"rho must be finite and >= 0, got {rho}")
     if d <= 2:
-        if not allow_infinite:
-            raise ValueError(
-                f"critical kappa is infinite for d={d} <= 2 "
-                f"(pass allow_infinite=True for an inf-valued bracket)")
-        return KappaBounds(d=d, n=n, p=p, rho=rho, lower=math.inf, upper=math.inf)
+        raise ValueError(f"critical kappa is infinite for d={d} <= 2")
     gz = greens.green_zero(d, _TOL).value
     lower = max(n / (4.0 * d) * mu(d, rho / p, _TOL),
                 n * mu_inverse(d, 4.0 * d * rho / p, _TOL))
@@ -115,8 +110,8 @@ def classify(d: int, n: int, kappa: float, rho: float) -> Regime:
     """
     if d < 1 or n < 1:
         raise ValueError(f"d and n must be positive, got d={d}, n={n}")
-    if kappa < 0 or rho < 0:
-        raise ValueError(f"rates must be >= 0, got kappa={kappa}, rho={rho}")
+    if not all(math.isfinite(r) and r >= 0 for r in (kappa, rho)):
+        raise ValueError(f"rates must be finite and >= 0, got kappa={kappa}, rho={rho}")
     if d <= 2:
         return Regime(
             label="PartialIntermittent",
@@ -187,19 +182,23 @@ class PhaseRow:
         )
 
 
-def _auto_radii(params: PamParams, cap_sites: int) -> list[int]:
-    """The three largest radii R <= 8 whose solver box fits in cap_sites.
+# The most sites a solver box of an automatically chosen radius may have.
+_CAP_SITES = 600_000
+
+
+def _auto_radii(params: PamParams) -> list[int]:
+    """The three largest radii R <= 8 whose solver box fits in _CAP_SITES.
 
     lambda_spectral solves radius R on the catalyst-frame box of radius 2R,
     which has (4R+1)^{d(p+n-1)} sites.
     """
     m = params.m - params.d
-    radii = [R for R in range(1, 9) if (4 * R + 1) ** m <= cap_sites]
+    radii = [R for R in range(1, 9) if (4 * R + 1) ** m <= _CAP_SITES]
     return radii[-3:] if radii else [0]
 
 
 def _row_job(args) -> PhaseRow:
-    d, n, p, kappa, rho, radii, cap_sites, tol = args
+    d, n, p, kappa, rho, radii, tol = args
     params = PamParams(d=d, n=n, p=p, kappa=kappa, rho=rho)
     if d <= 2:
         k_lo = k_hi = math.inf
@@ -207,8 +206,8 @@ def _row_job(args) -> PhaseRow:
         kb = kappa_bounds(d, n, p, rho)
         k_lo, k_hi = kb.lower, kb.upper
     try:
-        row_radii = list(radii) if radii else _auto_radii(params, cap_sites)
-        ests = lambda_spectral(params, row_radii, SolverOptions(tol=tol))
+        row_radii = list(radii) if radii else _auto_radii(params)
+        ests = lambda_spectral(params, row_radii, tol)
         lam = ests[-1].value
         kind = f"spectral(R={ests[-1].radius})"
     except ConvergenceError as exc:
@@ -240,7 +239,7 @@ def _safe_row_job(args) -> PhaseRow:
 
 
 def _grid_digest(jobs) -> str:
-    payload = json.dumps([j[:5] + (list(j[5] or []), j[6], j[7]) for j in jobs])
+    payload = json.dumps([j[:5] + (list(j[5] or []), j[6]) for j in jobs])
     return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
@@ -272,7 +271,7 @@ def _resume_offset(cursor_path: str, out: str, digest: str) -> tuple[int, int]:
 
 def sweep(d: int, n: int, p_values: Sequence[int], kappas: Sequence[float],
           rhos: Sequence[float], out: str, *, radii: Sequence[int] | None = None,
-          cap_sites: int = 600_000, tol: float = 1e-8, workers: int = 1,
+          tol: float = 1e-8, workers: int = 1,
           resume: bool = False) -> list[PhaseRow]:
     """Evaluate the (kappa, rho, p) grid into a CSV at ``out``.
 
@@ -285,17 +284,23 @@ def sweep(d: int, n: int, p_values: Sequence[int], kappas: Sequence[float],
     cursor starts a fresh sweep.  Worker processes split rows; the file is
     written in grid order regardless of completion order.
     """
+    if d < 1 or n < 1:
+        raise ValueError(f"d and n must be positive, got d={d}, n={n}")
     for name, vals in (("p_values", p_values), ("kappas", kappas), ("rhos", rhos)):
         if len(vals) == 0:
             raise ValueError(f"{name} must be nonempty")
         if any(b < a for a, b in zip(vals, list(vals)[1:])):
             raise ValueError(f"{name} must be sorted ascending, got {list(vals)}")
+    if not all(p >= 1 for p in p_values):
+        raise ValueError(f"p_values must be >= 1, got {list(p_values)}")
+    for name, vals in (("kappas", kappas), ("rhos", rhos)):
+        if not all(math.isfinite(v) and v >= 0 for v in vals):
+            raise ValueError(f"{name} must be finite and >= 0, got {list(vals)}")
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be finite and > 0, got {tol}")
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    jobs = [(d, n, int(p), float(k), float(r), tuple(radii) if radii else None,
-             cap_sites, tol)
+    jobs = [(d, n, int(p), float(k), float(r), tuple(radii) if radii else None, tol)
             for k in kappas for r in rhos for p in p_values]
     digest = _grid_digest(jobs)
     cursor_path = out + ".cursor"

@@ -81,7 +81,6 @@ from .lattice import (
 
 __all__ = [
     "PamParams",
-    "SolverOptions",
     "LyapunovEstimate",
     "ConvergenceError",
     "mu",
@@ -126,39 +125,17 @@ class PamParams:
 
 
 @dataclass(frozen=True)
-class SolverOptions:
-    """Eigensolver settings.  Problems of at most _DENSE_CUTOFF unknowns are
-    diagonalized densely, larger ones by ARPACK; max_iters and basis_size
-    size ARPACK's restarts.  A solve converges only when our own residual
-    ||L v - theta v||_2 is at most tol."""
-
-    tol: float = 1e-8
-    max_iters: int = 800       # ARPACK gets max(4, max_iters // ncv) restarts
-    basis_size: int = 40       # ARPACK's Lanczos vectors ncv, capped at size - 1
-
-    def __post_init__(self):
-        if not (math.isfinite(self.tol) and self.tol > 0):
-            raise ValueError(f"tol must be finite and > 0, got {self.tol}")
-        if self.max_iters < 1:
-            raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
-        if self.basis_size < 2:
-            raise ValueError(f"basis_size must be >= 2, got {self.basis_size}")
-
-
-@dataclass(frozen=True)
 class LyapunovEstimate:
-    """An estimate of lambda_p^{(n)} with provenance.
+    """A box estimate of lambda_p^{(n)} with provenance.
 
-    kind 'spectral' values are certified lower bounds (Rayleigh quotients on a
-    Dirichlet box); error is then the residual-based bound on the distance to
-    the box's own top eigenvalue, scaled to the lambda = theta/p axis, and
-    solver ("dense" or "arpack"), dim and matvecs record how the eigenproblem
-    was solved.
+    value is a certified lower bound (a Rayleigh quotient on a Dirichlet
+    box); error is the residual-based bound on the distance to the box's own
+    top eigenvalue, scaled to the lambda = theta/p axis, and solver ("dense"
+    or "arpack"), dim and matvecs record how the eigenproblem was solved.
     """
 
     params: PamParams
     value: float
-    kind: str                  # "spectral" | "closed-form" | "monte-carlo"
     error: float
     radius: int | None = None
     converged: bool = True
@@ -525,14 +502,23 @@ def _start_vector(box: Box) -> np.ndarray:
 # top_eigen) are diagonalized densely; larger problems go to ARPACK.
 _DENSE_CUTOFF = 600
 
+# ARPACK's Lanczos basis size (ncv) and restart count (maxiter): the former
+# defaults, ncv = min(40, size - 1) and maxiter = max(4, 800 // ncv), as they
+# come out on every problem ARPACK sees, which has more than _DENSE_CUTOFF
+# unknowns.
+_NCV = 40
+_MAXITER = 20
 
-def _top_pair(matvec, v0: np.ndarray, opts: SolverOptions, scale: float) -> _Solution:
+
+def _top_pair(matvec, v0: np.ndarray, tol: float, scale: float) -> _Solution:
     """Top eigenpair of the symmetric operator matvec, densely at most
     _DENSE_CUTOFF unknowns, else by _krylov_top from v0; converged means
-    residual ||A v - theta v||_2 <= opts.tol.  scale bounds ||A||."""
+    residual ||A v - theta v||_2 <= tol.  scale bounds ||A||."""
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be finite and > 0, got {tol}")
     size = v0.size
     if size > _DENSE_CUTOFF:
-        return _krylov_top(matvec, v0, opts, scale)
+        return _krylov_top(matvec, v0, tol, scale)
     A = np.empty((size, size))
     e = np.zeros(size)
     for i in range(size):
@@ -543,14 +529,14 @@ def _top_pair(matvec, v0: np.ndarray, opts: SolverOptions, scale: float) -> _Sol
     theta = float(w[-1])
     vec = V[:, -1]
     res = float(np.linalg.norm(matvec(vec) - theta * vec))
-    return _Solution(theta, vec, res, res <= opts.tol, "dense", size + 1)
+    return _Solution(theta, vec, res, res <= tol, "dense", size + 1)
 
 
-def _krylov_top(matvec, v0: np.ndarray, opts: SolverOptions, scale: float) -> _Solution:
+def _krylov_top(matvec, v0: np.ndarray, tol: float, scale: float) -> _Solution:
     """Implicitly-restarted Lanczos (ARPACK) plus explicit residual certification.
 
     ARPACK's stopping rule is relative and internal; convergence here is
-    declared only from our own residual ||A v - theta v|| <= opts.tol, and a
+    declared only from our own residual ||A v - theta v|| <= tol, and a
     pair that misses it is returned unconverged.  With k=1, ARPACK raises
     ArpackNoConvergence only when no Ritz value converged, and then returns
     none; the best iterate is then the unit start vector.  Either way theta
@@ -565,11 +551,9 @@ def _krylov_top(matvec, v0: np.ndarray, opts: SolverOptions, scale: float) -> _S
 
     size = v0.size
     A = LinearOperator((size, size), matvec=counted, dtype=np.float64)
-    ncv = min(opts.basis_size, size - 1)
     try:
-        w, V = eigsh(A, k=1, which="LA", v0=v0, ncv=ncv,
-                     maxiter=max(4, opts.max_iters // ncv),
-                     tol=0.1 * opts.tol / scale)
+        w, V = eigsh(A, k=1, which="LA", v0=v0, ncv=_NCV, maxiter=_MAXITER,
+                     tol=0.1 * tol / scale)
     except ArpackNoConvergence:
         u = v0 / np.linalg.norm(v0)
         Au = matvec(u)
@@ -578,7 +562,7 @@ def _krylov_top(matvec, v0: np.ndarray, opts: SolverOptions, scale: float) -> _S
         theta, u = float(w[0]), V[:, 0]
         Au = matvec(u)
     res = float(np.linalg.norm(Au - theta * u))
-    return _Solution(theta, u, res, res <= opts.tol, "arpack", mv_count + 1)
+    return _Solution(theta, u, res, res <= tol, "arpack", mv_count + 1)
 
 
 def _shift(params: PamParams) -> float:
@@ -592,10 +576,10 @@ def _scale(params: PamParams, shift: float) -> float:
 
 
 def _certified(params: PamParams, R: int, shift: float, sol: _Solution,
-               opts: SolverOptions) -> LyapunovEstimate:
+               tol: float) -> LyapunovEstimate:
     """The estimate of a solve; raises ConvergenceError if it did not converge."""
     value = (sol.theta - shift) / params.p
-    est = LyapunovEstimate(params=params, value=value, kind="spectral",
+    est = LyapunovEstimate(params=params, value=value,
                            error=sol.residual / params.p, radius=R,
                            converged=sol.converged, solver=sol.solver,
                            dim=sol.vec.size, matvecs=sol.matvecs)
@@ -603,36 +587,35 @@ def _certified(params: PamParams, R: int, shift: float, sol: _Solution,
         how = ("by dense diagonalization" if sol.solver == "dense"
                else f"after {sol.matvecs} operator applications")
         raise ConvergenceError(
-            f"eigensolver did not reach residual {opts.tol:g} {how} "
+            f"eigensolver did not reach residual {tol:g} {how} "
             f"(best value {value:.12g}, residual {sol.residual:.3g})",
             best=est, residual=sol.residual)
     return est
 
 
-def top_eigen(params: PamParams, R: int, opts: SolverOptions | None = None
-              ) -> LyapunovEstimate:
+def top_eigen(params: PamParams, R: int, tol: float = 1e-8) -> LyapunovEstimate:
     """(1/p) * top Dirichlet eigenvalue of L_p on the radius-R box.
 
     A certified lower bound of lambda_p^{(n)}; raises ConvergenceError (with
-    the best iterate attached) if the residual target is not met.
+    the best iterate attached) if the residual ||L v - theta v||_2 does not
+    reach tol.
     """
-    est, _ = _top_eigen_vec(params, R, opts)
+    est, _ = _top_eigen_vec(params, R, tol)
     return est
 
 
-def _top_eigen_vec(params: PamParams, R: int, opts: SolverOptions | None = None,
+def _top_eigen_vec(params: PamParams, R: int, tol: float,
                    frame: bool = False) -> tuple[LyapunovEstimate, np.ndarray]:
     """Top eigenpair on the full radius-R box, or on the whole catalyst-frame
     box of radius 2R when frame is set; the estimate's radius is R either way."""
-    opts = opts or SolverOptions()
     op = _operator(params, 2 * R if frame else R, frame)
     shift = _shift(params)
-    sol = _top_pair(lambda v: _apply_flat(op, v, shift), _start_vector(op.box), opts,
-                   _scale(params, shift))
-    return _certified(params, R, shift, sol, opts), sol.vec
+    sol = _top_pair(lambda v: _apply_flat(op, v, shift), _start_vector(op.box), tol,
+                    _scale(params, shift))
+    return _certified(params, R, shift, sol, tol), sol.vec
 
 
-def _quotient_top(params: PamParams, R: int, opts: SolverOptions) -> LyapunovEstimate:
+def _quotient_top(params: PamParams, R: int, tol: float) -> LyapunovEstimate:
     """(1/p) * top eigenvalue of the frame box of radius 2R, solved on the
     functions invariant under S_p x S_{n-1} x B_d (module docstring)."""
     d, n, p = params.d, params.n, params.p
@@ -645,20 +628,20 @@ def _quotient_top(params: PamParams, R: int, opts: SolverOptions) -> LyapunovEst
     # the start vector of the full frame box, projected on the orbit basis
     v0 = 1e-3 * np.sqrt(q.sizes)
     v0[q.center] += 1.0
-    sol = _top_pair(Q.dot, v0 / np.linalg.norm(v0), opts, _scale(params, shift))
-    return _certified(params, R, shift, sol, opts)
+    sol = _top_pair(Q.dot, v0 / np.linalg.norm(v0), tol, _scale(params, shift))
+    return _certified(params, R, shift, sol, tol)
 
 
 def lambda_spectral(params: PamParams, radii: Sequence[int],
-                    opts: SolverOptions | None = None) -> list[LyapunovEstimate]:
+                    tol: float = 1e-8) -> list[LyapunovEstimate]:
     """Box estimates over strictly increasing radii.
 
     Radius R is solved on the catalyst-frame box of radius 2R, restricted to
     its symmetric sector (see the module docstring); the value is at least
     the full radius-R box value.  Values are non-decreasing in R (nested
     admissible sets) and each is a certified lower bound; the final entry's
-    ``converged`` flag records whether the last increment fell below the
-    solver tolerance.
+    ``converged`` flag records whether the last increment fell below tol,
+    which is also each solve's residual target.
     """
     radii = list(radii)
     if not radii:
@@ -667,10 +650,9 @@ def lambda_spectral(params: PamParams, radii: Sequence[int],
         raise ValueError(f"radii must be strictly increasing, got {radii}")
     if radii[0] < 0:
         raise ValueError(f"box radius must be >= 0, got R={radii[0]}")
-    opts = opts or SolverOptions()
-    out = [_quotient_top(params, R, opts) for R in radii]
+    out = [_quotient_top(params, R, tol) for R in radii]
     if len(out) >= 2:
-        settled = abs(out[-1].value - out[-2].value) < opts.tol
+        settled = abs(out[-1].value - out[-2].value) < tol
         out[-1] = replace(out[-1], converged=settled)
     return out
 
@@ -685,7 +667,7 @@ class TensorGap(NamedTuple):
     rayleigh2: float
 
 
-def tensor_gap(params: PamParams, R: int, opts: SolverOptions | None = None) -> TensorGap:
+def tensor_gap(params: PamParams, R: int, tol: float = 1e-10) -> TensorGap:
     """Lower-bound the p=2 exponent from the p=1 eigenfunction f.
 
     Builds f~(x1,x2,y) = f(x1,y) f(x2,y) and evaluates its p=2 Rayleigh
@@ -700,8 +682,7 @@ def tensor_gap(params: PamParams, R: int, opts: SolverOptions | None = None) -> 
     """
     if params.p != 1:
         raise ValueError(f"tensor_gap needs p=1 parameters, got p={params.p}")
-    opts = opts or SolverOptions(tol=1e-10)
-    est, vec = _top_eigen_vec(params, R, opts)
+    est, vec = _top_eigen_vec(params, R, tol)
     d, n = params.d, params.n
     L = 2 * R + 1
     A = L ** d          # x-block size

@@ -307,6 +307,20 @@ def test_bad_solver_inputs_are_usage_errors(capsys, tmp_path, argv):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("grid", [
+    ("--d", "3", "--kappas", "-0.1", "--rho", "0.1"),
+    ("--d", "3", "--kappas", "0.1,nan", "--rho", "0.1"),
+    ("--d", "3", "--kappa", "0.1", "--rho", "0.1", "--p-values", "0"),
+    ("--d", "0", "--kappa", "0.1", "--rho", "0.1"),
+], ids=["negative-kappa", "nan-kappa", "p-zero", "d-zero"])
+def test_phase_rejects_bad_grid_before_writing(capsys, tmp_path, grid):
+    out = tmp_path / "f.csv"
+    code, _, err = run(capsys, "phase", "--n", "1", *grid, "--radii", "1",
+                       "--out", str(out))
+    assert code == 2 and err.startswith("error:")
+    assert not out.exists()
+
+
 def test_installed_entry_point():
     exe = shutil.which("pam")
     assert exe, "console script `pam` should be installed"

@@ -35,8 +35,7 @@ def grid_collision(xs, ys, t, h=1e-4):
 
 
 def still(d=1, horizon=4.0, start=None):
-    return JumpPath(d=d, rate=0.0, start=start or (0,) * d, events=(),
-                    horizon=horizon)
+    return JumpPath(d=d, start=start or (0,) * d, events=(), horizon=horizon)
 
 
 # ---------------------------------------------------------------------------
@@ -45,18 +44,18 @@ def still(d=1, horizon=4.0, start=None):
 
 def test_path_validation():
     with pytest.raises(ValueError):
-        JumpPath(d=0, rate=1.0, start=(), events=(), horizon=1.0)
+        JumpPath(d=0, start=(), events=(), horizon=1.0)
     with pytest.raises(ValueError):
-        JumpPath(d=2, rate=1.0, start=(0,), events=(), horizon=1.0)
+        JumpPath(d=2, start=(0,), events=(), horizon=1.0)
     with pytest.raises(ValueError):        # epochs must strictly increase
-        JumpPath(d=1, rate=1.0, start=(0,),
+        JumpPath(d=1, start=(0,),
                  events=((0.5, 1, 1), (0.5, 1, -1)), horizon=1.0)
     with pytest.raises(ValueError):        # epoch past horizon
-        JumpPath(d=1, rate=1.0, start=(0,), events=((1.5, 1, 1),), horizon=1.0)
+        JumpPath(d=1, start=(0,), events=((1.5, 1, 1),), horizon=1.0)
     with pytest.raises(ValueError):        # axis out of range
-        JumpPath(d=1, rate=1.0, start=(0,), events=((0.5, 2, 1),), horizon=1.0)
+        JumpPath(d=1, start=(0,), events=((0.5, 2, 1),), horizon=1.0)
     with pytest.raises(ValueError):        # bad sign
-        JumpPath(d=1, rate=1.0, start=(0,), events=((0.5, 1, 2),), horizon=1.0)
+        JumpPath(d=1, start=(0,), events=((0.5, 1, 2),), horizon=1.0)
 
 
 def loop_positions(d, start, counts, axes, signs):
@@ -99,7 +98,7 @@ def test_positions_of_a_batch_match_a_loop():
 
 
 def test_path_right_continuous():
-    p = JumpPath(d=2, rate=1.0, start=(0, 0),
+    p = JumpPath(d=2, start=(0, 0),
                  events=((1.0, 2, 1), (2.0, 1, -1)), horizon=3.0)
     assert p.position(0.0) == (0, 0)
     assert p.position(0.999) == (0, 0)
@@ -155,7 +154,7 @@ def test_collision_constant_paths():
 
 
 def test_collision_single_jump():
-    x = JumpPath(d=1, rate=1.0, start=(0,), events=((1.0, 1, 1),), horizon=2.0)
+    x = JumpPath(d=1, start=(0,), events=((1.0, 1, 1),), horizon=2.0)
     assert collision_time([x], [still()], 2.0) == 1.0
 
 
@@ -256,16 +255,6 @@ def test_pde_far_catalyst_is_inert():
     assert abs(u - 1.0) <= 1e-8        # catalyst outside the box, tiny leak
 
 
-def test_pde_substep_invariance():
-    rng = np.random.Generator(np.random.Philox(key=np.uint64(4)))
-    y = sample_path(1, 0.7, 2.0, rng)
-    params = PamParams(d=1, n=1, p=1, kappa=0.3, rho=0.7)
-    u1 = pde_moment_oracle(params, R=7, t=2.0, catalyst_paths=[y])
-    u3 = pde_moment_oracle(params, R=7, t=2.0, catalyst_paths=[y],
-                           quad_substeps=3)
-    assert u1 == pytest.approx(u3, rel=1e-10)
-
-
 def test_pde_agrees_with_path_average():
     # one fixed catalyst, u(0,t) vs the quenched path average over X
     rng = np.random.Generator(np.random.Philox(key=np.array([99, 0], dtype=np.uint64)))
@@ -291,9 +280,6 @@ def test_pde_validation():
     with pytest.raises(ValueError):
         pde_moment_oracle(params, R=3, t=-1.0,
                           catalyst_paths=[still(), still()])
-    with pytest.raises(ValueError):
-        pde_moment_oracle(params, R=3, t=1.0,
-                          catalyst_paths=[still(), still()], quad_substeps=0)
     with pytest.raises(ValueError):
         pde_moment_oracle(params, R=3, t=5.0,
                           catalyst_paths=[still(), still()])
@@ -344,7 +330,7 @@ def grid_path(rng, d, t, horizon, step):
     events = tuple((float(e), int(rng.integers(1, d + 1)), int(rng.choice([-1, 1])))
                    for e in epochs)
     start = tuple(int(c) for c in rng.integers(-1, 2, size=d))
-    return JumpPath(d=d, rate=1.0, start=start, events=events, horizon=horizon)
+    return JumpPath(d=d, start=start, events=events, horizon=horizon)
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
@@ -369,7 +355,7 @@ def test_collision_is_bit_identical_to_oracle(d):
 
 def test_collision_edge_cases_match_oracle():
     def path(events, horizon=2.0, start=(0,)):
-        return JumpPath(d=1, rate=1.0, start=start, events=events, horizon=horizon)
+        return JumpPath(d=1, start=start, events=events, horizon=horizon)
 
     cases = [
         # epoch at exactly 0.0: x sits at 1 on all of [0, 2]
@@ -404,7 +390,7 @@ def test_collision_time_reversal_symmetry(d, t, data):
         epochs = sorted(set(data.draw(st.lists(st.floats(0.0, t), max_size=6))))
         events = tuple((e, data.draw(st.integers(1, d)),
                         data.draw(st.sampled_from([-1, 1]))) for e in epochs)
-        return JumpPath(d=d, rate=1.0, start=(0,) * d, events=events, horizon=t)
+        return JumpPath(d=d, start=(0,) * d, events=events, horizon=t)
 
     x, y = path(), path()
     assert collision_time([x], [y], t) == pytest.approx(

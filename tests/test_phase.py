@@ -55,10 +55,9 @@ def test_d5_lower_bound_uses_alpha():
 
 
 def test_bounds_low_dimension():
-    with pytest.raises(ValueError):
-        kappa_bounds(2, 1, 1, 0.1)
-    kb = kappa_bounds(1, 1, 1, 0.1, allow_infinite=True)
-    assert kb.lower == kb.upper == math.inf
+    for d in (1, 2):
+        with pytest.raises(ValueError):
+            kappa_bounds(d, 1, 1, 0.1)
 
 
 def test_bounds_ordered_across_grid():
@@ -181,7 +180,8 @@ def test_classify_matches_the_alpha_checked_rule():
 
 def test_classify_validation():
     for bad in ((0, 1, 0.1, 0.1), (3, 0, 0.1, 0.1), (3, 1, -0.1, 0.1),
-                (3, 1, 0.1, -0.1)):
+                (3, 1, 0.1, -0.1), (3, 1, math.nan, 0.1), (3, 1, math.inf, 0.1),
+                (3, 1, 0.1, math.nan), (3, 1, 0.1, math.inf), (1, 1, math.nan, 0.1)):
         with pytest.raises(ValueError):
             classify(*bad)
 
@@ -396,12 +396,17 @@ def test_sweep_validation(tmp_path):
         sweep(1, 1, [1], [0.1], [0.2, 0.1], out)
 
 
-@pytest.mark.parametrize("bad", [dict(tol=0.0), dict(tol=-1.0), dict(tol=math.inf),
-                                 dict(tol=math.nan), dict(workers=0)])
+@pytest.mark.parametrize("bad", [
+    dict(tol=0.0), dict(tol=-1.0), dict(tol=math.inf), dict(tol=math.nan),
+    dict(workers=0), dict(d=0), dict(n=0), dict(p_values=[0, 1]),
+    dict(kappas=[-0.1]), dict(kappas=[0.1, math.nan]), dict(kappas=[0.1, math.inf]),
+    dict(rhos=[-0.1]), dict(rhos=[math.nan])])
 def test_sweep_rejects_bad_solver_inputs_before_writing(tmp_path, bad):
     out = tmp_path / "v.csv"
+    args = dict(d=1, n=1, p_values=[1], kappas=[0.1], rhos=[0.1], radii=[1])
+    args.update(bad)
     with pytest.raises(ValueError):
-        sweep(1, 1, [1], [0.1], [0.1], str(out), radii=[1], **bad)
+        sweep(out=str(out), **args)
     assert not out.exists()
 
 

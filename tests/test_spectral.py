@@ -23,7 +23,6 @@ from pamlab.spectral import (
     F0Bound,
     LyapunovEstimate,
     PamParams,
-    SolverOptions,
     apply_generator,
     check_gn,
     f0_rayleigh,
@@ -373,7 +372,6 @@ def test_top_eigen_trivial_is_n():
         params = PamParams(d=1, n=n, p=p, kappa=0.0, rho=0.0)
         est = top_eigen(params, 1)
         assert est.value == pytest.approx(n, abs=1e-9)
-        assert est.kind == "spectral"
 
 
 def test_lambda_spectral_monotone_in_radius():
@@ -481,10 +479,17 @@ def test_zero_region_box_values_nonpositive():
     assert est.value <= 1e-8
 
 
-def test_convergence_error_carries_best():
+def starve_arpack(monkeypatch):
+    # a 4-vector Lanczos basis and 4 restarts: too little for R=40 at d=1
+    monkeypatch.setattr(spectral, "_NCV", 4)
+    monkeypatch.setattr(spectral, "_MAXITER", 4)
+
+
+def test_convergence_error_carries_best(monkeypatch):
     params = PamParams(d=1, n=1, p=1, kappa=0.25, rho=0.25)
+    starve_arpack(monkeypatch)
     with pytest.raises(ConvergenceError) as exc:
-        top_eigen(params, 40, SolverOptions(tol=1e-13, max_iters=8, basis_size=4))
+        top_eigen(params, 40, 1e-13)
     err = exc.value
     assert isinstance(err.best, LyapunovEstimate)
     assert not err.best.converged
@@ -498,35 +503,36 @@ def test_dense_path_certifies_residual():
     # 65-site frame box: solved densely, residual ~1e-15 cannot reach 1e-16
     params = PamParams(d=1, n=1, p=1, kappa=0.25, rho=0.25)
     with pytest.raises(ConvergenceError) as exc:
-        lambda_spectral(params, [16], SolverOptions(tol=1e-16))
+        lambda_spectral(params, [16], 1e-16)
     err = exc.value
     assert not err.best.converged and err.best.radius == 16
     assert err.residual > 1e-16
     assert err.best.value == pytest.approx(math.sqrt(2.0) - 1.0, abs=1e-8)
     with pytest.raises(ConvergenceError):
-        top_eigen(params, 2, SolverOptions(tol=1e-16))      # 25-site full box
+        top_eigen(params, 2, 1e-16)      # 25-site full box
 
 
 @pytest.mark.parametrize("solve", [
-    lambda params, opts: top_eigen(params, 20, opts),            # 1,681 sites
-    lambda params, opts: lambda_spectral(params, [400], opts),   # 801 orbits
+    lambda params, tol: top_eigen(params, 20, tol),            # 1,681 sites
+    lambda params, tol: lambda_spectral(params, [400], tol),   # 801 orbits
 ], ids=["top_eigen", "quotient"])
 def test_krylov_path_returns_arpack_pair_unconverged(solve):
     # above the dense cutoff: ARPACK's residual ~1e-15 cannot reach 1e-16
     params = PamParams(d=1, n=1, p=1, kappa=0.25, rho=0.25)
     with pytest.raises(ConvergenceError) as exc:
-        solve(params, SolverOptions(tol=1e-16))
+        solve(params, 1e-16)
     best = exc.value.best
     assert best.solver == "arpack" and not best.converged
     assert best.value <= math.sqrt(2.0) - 1.0 + 1e-9
 
 
-def test_arpack_failure_reports_the_start_vector():
+def test_arpack_failure_reports_the_start_vector(monkeypatch):
     # ARPACK converges no Ritz value here; the best iterate is then the
     # Rayleigh quotient of the start vector, one operator application more
     params = PamParams(d=1, n=1, p=1, kappa=0.25, rho=0.25)
+    starve_arpack(monkeypatch)
     with pytest.raises(ConvergenceError) as exc:
-        top_eigen(params, 40, SolverOptions(tol=1e-13, max_iters=8, basis_size=4))
+        top_eigen(params, 40, 1e-13)
     op = _operator(params, 40)
     shift = spectral._shift(params)
     v0 = spectral._start_vector(op.box)
@@ -539,11 +545,37 @@ def test_arpack_failure_reports_the_start_vector():
 
 
 @pytest.mark.parametrize("bad", [
-    dict(tol=0.0), dict(tol=-1.0), dict(tol=math.inf), dict(tol=math.nan),
-    dict(max_iters=0), dict(basis_size=1)])
+    dict(tol=0.0), dict(tol=-1.0), dict(tol=math.inf), dict(tol=math.nan)])
 def test_solver_options_validation(bad):
+    params = PamParams(d=1, n=1, p=1, kappa=0.25, rho=0.25)
     with pytest.raises(ValueError):
-        SolverOptions(**bad)
+        top_eigen(params, 1, **bad)
+    with pytest.raises(ValueError):
+        lambda_spectral(params, [1], **bad)
+    with pytest.raises(ValueError):
+        tensor_gap(params, 1, **bad)
+
+
+# (value, error, solver, dim, matvecs) of three ARPACK solves, recorded with
+# ncv = 40 and 20 restarts; any change to the Krylov path's arguments or
+# arithmetic shows here
+KRYLOV_PINS = [
+    (lambda: top_eigen(PamParams(1, 1, 1, 0.25, 0.25), 20),
+     (0.4136841612181632, 4.180044609292392e-12, "arpack", 1681, 82)),
+    (lambda: lambda_spectral(PamParams(1, 1, 1, 0.25, 0.25), [400])[-1],
+     (0.41421356237309404, 2.386174591310132e-15, "arpack", 801, 42)),
+    (lambda: lambda_spectral(PamParams(d=3, n=1, p=2, kappa=0.05, rho=0.1), [2])[-1],
+     (0.4340527149629716, 1.048002967868722e-15, "arpack", 6325, 42)),
+]
+
+
+@pytest.mark.parametrize("solve,want", KRYLOV_PINS,
+                         ids=["top_eigen-1681-sites", "quotient-801-orbits",
+                              "quotient-6325-orbits"])
+def test_krylov_solves_are_pinned(solve, want):
+    est = solve()
+    assert est.converged
+    assert (est.value, est.error, est.solver, est.dim, est.matvecs) == want
 
 
 # ---------------------------------------------------------------------------
@@ -651,10 +683,10 @@ def test_quotient_matches_the_whole_frame_box(d, R, n, p, kappa, rho):
     # make the operator reducible, where the averaging argument still holds
     # (d=3, n=p=2 is left out: its frame box has 1.95M sites)
     params = PamParams(d=d, n=n, p=p, kappa=kappa, rho=rho)
-    opts = SolverOptions()
-    got = _quotient_top(params, R, opts)
-    want, _ = _top_eigen_vec(params, R, opts, frame=True)
-    assert got.value == pytest.approx(want.value, abs=opts.tol)
+    tol = 1e-8
+    got = _quotient_top(params, R, tol)
+    want, _ = _top_eigen_vec(params, R, tol, frame=True)
+    assert got.value == pytest.approx(want.value, abs=tol)
     assert got.dim < want.dim
 
 

@@ -8,11 +8,8 @@ __version__ = "0.1.0"
 from .lattice import (
     Box,
     Field,
-    axis_laplacian,
     build_box,
-    delta_field,
     grad_sq_norm,
-    inner,
     norms,
 )
 from .greens import (
@@ -48,8 +45,7 @@ from .phase import KappaBounds, PhaseRow, Regime, classify, kappa_bounds, sweep
 
 __all__ = [
     "__version__",
-    "Box", "Field", "build_box", "delta_field", "axis_laplacian",
-    "grad_sq_norm", "norms", "inner",
+    "Box", "Field", "build_box", "grad_sq_norm", "norms",
     "GreenEstimate", "green_zero", "green_at", "green_l2sq", "alpha",
     "heat_kernel_diag",
     "PamParams", "LyapunovEstimate", "ConvergenceError",

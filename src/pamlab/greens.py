@@ -35,9 +35,10 @@ fraction for the incomplete gamma function, whose truncation is bracketed,
 plus a running rounding bound under a stated libm accuracy); that error
 widens the tail half-width and never moves the midpoint.
 
-green_box_values alone uses a fixed-node mode: the same horizon and tail
-midpoint, 48 nodes per panel and no error check, because its one consumer is
-a Rayleigh-type ratio.
+_green_table alone uses a fixed-node mode: the same horizon and tail midpoint,
+48 nodes per panel and no error check.  It holds G_d on the radius-R cube
+once per multiset of |coordinates|; spectral.f0_rayleigh reduces it to a
+Rayleigh-type ratio, and green_box_values scatters it over the cube.
 """
 from __future__ import annotations
 
@@ -531,29 +532,19 @@ def alpha(d: int, tol: float = 1e-9) -> GreenEstimate:
 # bulk evaluation on a cube (shared quadrature grid)
 # ---------------------------------------------------------------------------
 
-def green_box_values(d: int, radius: int, tol: float = 1e-9) -> np.ndarray:
-    """G_d(x) for every x in {-R,...,R}^d, as a C-contiguous array of shape
-    (2R+1,)*d.
+def _green_table(d: int, radius: int, tol: float) -> np.ndarray:
+    """G_d(x) on {-R,...,R}^d, one value per multiset of |coordinates|.
 
-    All sites share one quadrature grid; distinct values are computed once per
-    multiset of |coordinates| and scattered by a sorted-key lookup, so the
-    cost is ~C(R+d, d) integrals rather than (2R+1)^d.  The lookup runs one
-    (2R+1)^(d-1) slab at a time, so its index arrays stay a factor 2R+1
-    smaller than the result.
+    Shape (R+1,)*d: entry table[k_1 <= ... <= k_d] is G_d at any x with those
+    sorted |x_i|; the other entries are 0.  All values share one quadrature
+    grid, so the cost is C(R+d, d) integrals rather than (2R+1)^d.
 
     Fixed-node mode: T comes from _horizon, but the head uses 48 nodes per
     panel with no spread check and the tail adds only its midpoint, so the
-    values carry no certificate.  None is needed: the one consumer,
-    spectral.f0_rayleigh, evaluates a Rayleigh-type ratio of whatever vector
-    it gets, so an inexact table changes the test vector, not the soundness
-    of the ratio.
+    values carry no certificate.  None is needed: spectral.f0_rayleigh
+    evaluates a Rayleigh-type ratio of whatever vector it gets, so an inexact
+    table changes the test vector, not the soundness of the ratio.
     """
-    if d <= 2:
-        raise ValueError(f"G_d diverges for d={d} <= 2")
-    L = 2 * radius + 1
-    if L ** d > 60_000_000:
-        raise CapacityError(f"green value grid (2R+1)^d = {L}^{d} too large")
-
     T, _, _ = _horizon((radius,) * d, 0, 0.0, tol)
     edges = _edges(0.25 / (d + 1.0), T)
     t, w = _panel_nodes(edges, 48)
@@ -568,6 +559,26 @@ def green_box_values(d: int, radius: int, tol: float = 1e-9) -> np.ndarray:
             prod = prod * V[k]
         mid, _ = _tail_bracket(ks, 0, 0.0, T)
         table[ks] = float(prod.sum()) + mid
+    return table
+
+
+def green_box_values(d: int, radius: int, tol: float = 1e-9) -> np.ndarray:
+    """G_d(x) for every x in {-R,...,R}^d, as a C-contiguous array of shape
+    (2R+1,)*d.
+
+    The shared table of _green_table (one uncertified value per multiset of
+    |coordinates|), scattered over the cube by a sorted-key lookup.  The
+    lookup runs one (2R+1)^(d-1) slab at a time, so its index arrays stay a
+    factor 2R+1 smaller than the result.  spectral.f0_rayleigh reads the
+    table itself; this whole-cube form serves callers that want G_d site by
+    site, and is the tests' oracle for that table route.
+    """
+    if d <= 2:
+        raise ValueError(f"G_d diverges for d={d} <= 2")
+    L = 2 * radius + 1
+    if L ** d > 60_000_000:
+        raise CapacityError(f"green value grid (2R+1)^d = {L}^{d} too large")
+    table = _green_table(d, radius, tol)
 
     # scatter by sorted |coordinate| key, one slab of the first axis at a time;
     # slabs i and L-1-i hold the same values

@@ -47,7 +47,7 @@ class Box:
         return (self.side,) * self.m
 
     def index(self, site: Sequence[int]) -> int:
-        """Flat index of a site; inverse of :meth:`site`."""
+        """Flat index of a site."""
         if len(site) != self.m:
             raise DimensionMismatchError(
                 f"site has {len(site)} coordinates, box has m={self.m}")
@@ -59,16 +59,6 @@ class Box:
             idx += (x + self.radius) * stride
             stride *= self.side
         return idx
-
-    def site(self, index: int) -> Tuple[int, ...]:
-        """Site of a flat index; inverse of :meth:`index`."""
-        if not 0 <= index < self.size:
-            raise ValueError(f"index {index} out of range for box of size {self.size}")
-        out = []
-        for _ in range(self.m):
-            out.append(index % self.side - self.radius)
-            index //= self.side
-        return tuple(out)
 
 
 def build_box(m: int, radius: int) -> Box:
@@ -117,13 +107,6 @@ class Field:
         return float(self.values[self.box.index(site)])
 
 
-def delta_field(box: Box) -> Field:
-    """The indicator of the origin configuration."""
-    v = np.zeros(box.size)
-    v[box.index((0,) * box.m)] = 1.0
-    return Field(box, v)
-
-
 def _check_axes(box: Box, axes: Iterable[int]) -> Tuple[int, ...]:
     axes = tuple(axes)
     if not axes:
@@ -150,9 +133,10 @@ def lap_grid(g: np.ndarray, groups: Sequence[int | Tuple[int, ...]]) -> np.ndarr
 
     Each group is one 0-based axis, or a tuple of axes that a single hop
     shifts together (the step e_a + e_b + ...); the term of a group is
-    f(x + e_G) + f(x - e_G) - 2 f(x).  Raw-array core of
-    :func:`axis_laplacian`, shared with the eigensolver's matrix-free
-    operator where Field wrappers would cost an extra copy per iteration.
+    f(x + e_G) + f(x - e_G) - 2 f(x), with f = 0 outside the box, so boundary
+    sites see a Dirichlet leak.  Works on raw arrays for the eigensolver's
+    matrix-free operator, where Field wrappers would cost an extra copy per
+    iteration.
     """
     out = np.zeros_like(g)
     m = g.ndim
@@ -181,16 +165,6 @@ def grad_sq_grid(g: np.ndarray, axes0: Sequence[int]) -> float:
     return total
 
 
-def axis_laplacian(f: Field, axes: Iterable[int]) -> Field:
-    """Discrete Laplacian over the listed (1-based) axes, zero-extended.
-
-    (Delta_A f)(x) = sum_{i in A} [f(x+e_i) + f(x-e_i) - 2 f(x)] with f = 0
-    outside the box, so boundary sites see a Dirichlet leak.
-    """
-    axes = _check_axes(f.box, axes)
-    return Field(f.box, lap_grid(f.grid(), [a - 1 for a in axes]))
-
-
 def grad_sq_norm(f: Field, axes: Iterable[int]) -> float:
     """Sum over all sites and listed axes of (f(x+e_i) - f(x))^2.
 
@@ -210,10 +184,3 @@ def norms(f: Field) -> Tuple[float, float, float]:
     l4 = float(np.dot(sq, sq)) ** 0.25
     linf = float(np.max(np.abs(v))) if v.size else 0.0
     return l2, l4, linf
-
-
-def inner(f: Field, g: Field) -> float:
-    """l2 inner product of two fields on the same box."""
-    if f.box != g.box:
-        raise ValueError("fields live on different boxes")
-    return float(np.dot(f.values, g.values))

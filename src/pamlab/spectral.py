@@ -73,7 +73,6 @@ from .lattice import (
     DimensionMismatchError,
     Field,
     build_box,
-    grad_sq_grid,
     grad_sq_norm,
     lap_grid,
     norms,
@@ -650,6 +649,8 @@ def lambda_spectral(params: PamParams, radii: Sequence[int],
         raise ValueError(f"radii must be strictly increasing, got {radii}")
     if radii[0] < 0:
         raise ValueError(f"box radius must be >= 0, got R={radii[0]}")
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be finite and > 0, got {tol}")
     out = [_quotient_top(params, R, tol) for R in radii]
     if len(out) >= 2:
         settled = abs(out[-1].value - out[-2].value) < tol
@@ -778,24 +779,50 @@ class F0Bound:
         return self.value
 
 
+def _multisets(m: int, R: int) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted multisets k_1 <= ... <= k_m of {0,...,R}, one row each, and how
+    many sites of {-R,...,R}^m have those sorted |x_i|: the orbit sizes of
+    the signed axis permutations B_m, m!/prod(repeats!) * 2^(number of k_i > 0)."""
+    keys = np.array(list(itertools.combinations_with_replacement(range(R + 1), m)),
+                    dtype=np.int64).reshape(-1, m)
+    fact = np.array([math.factorial(j) for j in range(m + 1)], dtype=np.int64)
+    mult = np.full(len(keys), fact[m])
+    for v in range(R + 1):
+        mult //= fact[np.count_nonzero(keys == v, axis=1)]
+    return keys, mult << np.count_nonzero(keys, axis=1)
+
+
 def f0_rayleigh(d: int, n: int, p: int, rho: float, R: int,
                 tol: float = 1e-9) -> F0Bound:
     """Evaluate the critical-kappa lower-bound functional of f0 on a box.
 
     As R grows the value tends to n G_d(0) - rho n/(p alpha_d); requires
-    d >= 5 so that |G_d|_2 is finite.
+    d >= 5 so that |G_d|_2 is finite.  The three sums over the cube are read
+    from greens' table of G_d, one value per multiset of |x_i|, weighted by
+    orbit size, so memory is O((R+1)^d), not O((2R+1)^d).
     """
     if d <= 4:
         raise ValueError(f"f0 bound needs |G_d|_2 < inf, i.e. d >= 5; got d={d}")
     if n < 1 or p < 1 or rho < 0 or R < 0:
         raise ValueError(f"bad parameters n={n}, p={p}, rho={rho}, R={R}")
-    g = greens.green_box_values(d, R, tol)
-    flat = g.reshape(-1)
-    s2 = float(np.dot(flat, flat))
-    center = float(g[(R,) * d])
+    table = greens._green_table(d, R, tol).ravel()
+    strides = (R + 1) ** np.arange(d - 1, -1, -1)
+    keys, mult = _multisets(d, R)
+    g = table[keys @ strides]
+    s2 = float(np.dot(mult, g * g))
+    center = float(table[0])
     g0_sq = center * center / s2                  # normalized g(0)^2
-    grad = grad_sq_grid(g, range(d)) / s2         # normalized |grad g|_2^2
-    del flat
+    # the d axes give equal gradient sums; on axis 1, g along each line is
+    # h(|x_1|) with the other |x_i| fixed, and its zero-extended squared
+    # gradient is 2 sum_{k<R} (h(k+1) - h(k))^2 + 2 h(R)^2
+    rest, mult_rest = _multisets(d - 1, R)
+    lines = np.empty((len(rest), R + 1, d), dtype=np.int64)
+    lines[:, :, 0] = np.arange(R + 1)
+    lines[:, :, 1:] = rest[:, None, :]
+    lines.sort(axis=2)
+    h = table[lines @ strides]
+    per_line = 2.0 * np.sum(np.diff(h, axis=1) ** 2, axis=1) + 2.0 * h[:, R] ** 2
+    grad = d * float(np.dot(mult_rest, per_line)) / s2   # normalized |grad g|_2^2
     ip_mass = n * p * g0_sq       # sum I_p f0^2 over the product box
     grad_y_sq = 2.0 * d * n       # exact: delta_0 factors, zero-extended
     grad_x_sq = p * grad

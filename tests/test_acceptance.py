@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from pamlab import greens
-from pamlab.lattice import Field, build_box, delta_field
+from pamlab.lattice import Field, build_box
 from pamlab.montecarlo import (
     collision_time,
     lambda_mc,
@@ -28,6 +28,8 @@ from pamlab.spectral import (
     tensor_gap,
     top_eigen,
 )
+
+from lattice_helpers import delta_field
 
 
 def mu1(kappa: float) -> float:

@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from pamlab import greens
+from pamlab import greens, spectral
 from pamlab.cli import main
 
 
@@ -305,6 +305,17 @@ def test_bad_solver_inputs_are_usage_errors(capsys, tmp_path, argv):
     code, _, err = run(capsys, *argv, "--out", str(out))
     assert code == 2 and err.startswith("error:")
     assert not out.exists()
+
+
+def test_lambda_spectral_rejects_tol_before_labelling(capsys, monkeypatch):
+    def no_labelling(*args):
+        raise AssertionError("tol reached the orbit labelling")
+
+    monkeypatch.setattr(spectral, "_quotient", no_labelling)
+    code, out, err = run(capsys, "lambda-spectral", "--d", "3", "--n", "1",
+                         "--p", "2", "--kappa", "0.05", "--rho", "0.1",
+                         "--radius", "2", "--tol", "0")
+    assert code == 2 and out == "" and "tol must be finite" in err
 
 
 @pytest.mark.parametrize("grid", [

@@ -17,7 +17,14 @@ from scipy.integrate import quad
 from scipy.optimize import brentq
 
 from pamlab import greens, spectral
-from pamlab.lattice import Box, DimensionMismatchError, Field, build_box, delta_field
+from pamlab.lattice import (
+    Box,
+    CapacityError,
+    DimensionMismatchError,
+    Field,
+    build_box,
+    grad_sq_grid,
+)
 from pamlab.spectral import (
     ConvergenceError,
     F0Bound,
@@ -43,6 +50,8 @@ from pamlab.spectral import (
     _top_eigen_vec,
 )
 
+from lattice_helpers import box_site, delta_field
+
 
 def mu1(kappa: float) -> float:
     """d=1 closed form: the resolvent identity reduces to mu(mu + 4k) = 1."""
@@ -64,7 +73,7 @@ def naive_apply(params: PamParams, box: Box, vec: np.ndarray) -> np.ndarray:
     d, n, p = params.d, params.n, params.p
     out = np.zeros(box.size)
     for i in range(box.size):
-        site = box.site(i)
+        site = box_site(box, i)
         xs = [site[j * d:(j + 1) * d] for j in range(p)]
         ys = [site[(p + k) * d:(p + k + 1) * d] for k in range(n)]
         ip = sum(1 for a in xs for b in ys if a == b)
@@ -97,7 +106,7 @@ def naive_frame_apply(params: PamParams, box: Box, vec: np.ndarray) -> np.ndarra
         return vec[box.index(site)] if max(map(abs, site)) <= box.radius else 0.0
 
     for i in range(box.size):
-        site = box.site(i)
+        site = box_site(box, i)
         xs = [site[j * d:(j + 1) * d] for j in range(p)]
         ys = [(0,) * d] + [site[(p + k) * d:(p + k + 1) * d] for k in range(n - 1)]
         ip = sum(1 for a in xs for b in ys if a == b)
@@ -308,7 +317,7 @@ def test_apply_is_multiplication_at_zero_rates():
     f = Field(box, rng.standard_normal(box.size))
     out = apply_generator(params, f)
     for i in range(box.size):
-        site = box.site(i)
+        site = box_site(box, i)
         ip = float(site[0] == site[2]) + float(site[1] == site[2])
         assert out.values[i] == pytest.approx(ip * f.values[i], abs=1e-14)
 
@@ -556,6 +565,18 @@ def test_solver_options_validation(bad):
         tensor_gap(params, 1, **bad)
 
 
+@pytest.mark.parametrize("tol", [0.0, math.nan, math.inf])
+def test_lambda_spectral_checks_tol_before_labelling(monkeypatch, tol):
+    # d=3, p=2, R=2: labelling the first frame box alone takes a visible time
+    def no_labelling(*args):
+        raise AssertionError("tol reached the orbit labelling")
+
+    monkeypatch.setattr(spectral, "_quotient", no_labelling)
+    params = PamParams(d=3, n=1, p=2, kappa=0.05, rho=0.1)
+    with pytest.raises(ValueError, match="tol must be finite"):
+        lambda_spectral(params, [2], tol=tol)
+
+
 # (value, error, solver, dim, matvecs) of three ARPACK solves, recorded with
 # ncv = 40 and 20 restarts; any change to the Krylov path's arguments or
 # arithmetic shows here
@@ -618,7 +639,7 @@ def test_site_coords_match_box_sites():
     box = build_box(6, 1)
     flat = np.array([0, 5, 100, box.size - 1])
     z = _site_coords(flat, 2, 3, 1)
-    assert [tuple(row.reshape(-1)) for row in z] == [box.site(int(i)) for i in flat]
+    assert [tuple(row.reshape(-1)) for row in z] == [box_site(box, int(i)) for i in flat]
 
 
 @pytest.mark.parametrize("d,p,n,radius", [(1, 1, 1, 4), (1, 3, 1, 2), (1, 2, 2, 2),
@@ -832,6 +853,40 @@ def test_f0_constituents_near_closed_forms():
     assert b.grad_x_sq == pytest.approx(2 * g / l2, rel=0.03)
     assert float(b) == b.value
     assert isinstance(b, F0Bound)
+
+
+def f0_grid_route(d: int, n: int, p: int, rho: float, R: int):
+    """(value, ip_mass, grad_x_sq) of f0 from the whole (2R+1)^d Green grid."""
+    g = greens.green_box_values(d, R)
+    flat = g.reshape(-1)
+    s2 = float(np.dot(flat, flat))
+    center = float(g[(R,) * d])
+    ip_mass = n * p * center * center / s2
+    grad_x_sq = p * grad_sq_grid(g, range(d)) / s2
+    return (ip_mass - rho * 2.0 * d * n) / grad_x_sq, ip_mass, grad_x_sq
+
+
+@pytest.mark.parametrize("d, R", [(5, 0), (5, 1), (5, 2), (5, 4), (6, 1), (6, 2)])
+def test_f0_table_route_matches_grid_route(d, R):
+    b = f0_rayleigh(d, 2, 3, 0.01, R)
+    want = f0_grid_route(d, 2, 3, 0.01, R)
+    for got, ref in zip((b.value, b.ip_mass, b.grad_x_sq), want):
+        assert abs(got - ref) <= 1e-13 * abs(ref)
+    # the orbit sizes tile the cube and every line's (d-1)-face
+    for m in (d, d - 1):
+        keys, mult = spectral._multisets(m, R)
+        assert int(mult.sum()) == (2 * R + 1) ** m
+        assert np.all(np.diff(keys, axis=1) >= 0)
+
+
+def test_f0_beyond_the_grid_cap():
+    # (2*18+1)^5 = 69M sites: the whole-grid route refuses this radius
+    with pytest.raises(CapacityError):
+        greens.green_box_values(5, 18)
+    g0 = greens.green_zero(5)
+    b16 = f0_rayleigh(5, 1, 1, 0.0, 16)
+    b18 = f0_rayleigh(5, 1, 1, 0.0, 18)
+    assert b16.value < b18.value <= g0.value + g0.abs_error
 
 
 def test_f0_rho_dependence_is_exact_shift():

@@ -37,8 +37,9 @@ widens the tail half-width and never moves the midpoint.
 
 _green_table alone uses a fixed-node mode: the same horizon and tail midpoint,
 48 nodes per panel and no error check.  It holds G_d on the radius-R cube
-once per multiset of |coordinates|; spectral.f0_rayleigh reduces it to a
-Rayleigh-type ratio, and green_box_values scatters it over the cube.
+as one flat value per _multisets row (a sorted multiset of |coordinates|);
+_green_box_sums reduces it to the sums spectral.f0_rayleigh needs, and
+green_box_values scatters it over the cube, both through the lookup _rows.
 """
 from __future__ import annotations
 
@@ -51,7 +52,7 @@ from typing import Sequence, Tuple
 import numpy as np
 from scipy.special import i0e, ive
 
-from .lattice import CapacityError
+from .lattice import MAX_SITES, CapacityError
 
 __all__ = [
     "GreenEstimate",
@@ -71,6 +72,11 @@ _CUBE_INV_SQ = {3: 6.027243069991175, 4: 10.57738843003051}
 #: valid for x >= _env_xmin(k); both claims validated in the tests.
 def _env_xmin(k: int) -> float:
     return max(60.0, 6.0 * k * k)
+
+
+def _env_a(k):
+    """The envelope's 1/t coefficient (x = 2t); exact for integer k or arrays."""
+    return (1.0 - 4.0 * k * k) / 16.0
 
 
 def _env_b(k: int) -> float:
@@ -292,7 +298,7 @@ def _product_envelope(ks: Sequence[int], T: float) -> Tuple[float, float]:
     terms are absorbed into B via the elementary bound
     |prod(1+u_i) - 1 - sum u_i| <= (sum |u_i|)^2 e^{sum |u_i|} / 2.
     """
-    a = [(1.0 - 4.0 * k * k) / 16.0 for k in ks]
+    a = [_env_a(k) for k in ks]
     b = [_env_b(k) / 4.0 for k in ks]
     A = sum(a)
     c = sum(abs(ai) for ai in a) + sum(b) / T
@@ -302,9 +308,13 @@ def _product_envelope(ks: Sequence[int], T: float) -> Tuple[float, float]:
 
 def _tail_bracket(ks: Sequence[int], weight: int, nu: float, T: float) -> Tuple[float, float]:
     """(midpoint, halfwidth) bracketing int_T^inf t^w e^{-nu t} prod_i ive(k_i, 2t) dt."""
-    d = len(ks)
+    return _envelope_tail(len(ks), weight, nu, T, *_product_envelope(ks, T))
+
+
+def _envelope_tail(d: int, weight: int, nu: float, T: float, A, B):
+    """(midpoint, halfwidth) of the tail integral of a d-factor envelope (A, B)
+    from _product_envelope; elementwise when A and B are arrays."""
     s = 0.5 * d - weight
-    A, B = _product_envelope(ks, T)
     pref = (4.0 * math.pi) ** (-0.5 * d)
     p0, e0 = _tail_power_err(s, nu, T)
     p1, e1 = _tail_power_err(s + 1.0, nu, T)
@@ -374,6 +384,11 @@ def _certified_integral(ks: Sequence[int], weight: int, nu: float, tol: float,
 # ---------------------------------------------------------------------------
 # public quantities
 # ---------------------------------------------------------------------------
+
+def _check_tol(tol: float) -> None:
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be finite and > 0, got {tol}")
+
 
 def _fourier_green_zero(d: int, tol: float) -> GreenEstimate:
     """Cross-check method: deterministic tensor quadrature of the momentum-space
@@ -453,8 +468,7 @@ def green_zero(d: int, tol: float = 1e-9, method: str = "time-integral",
     """G_d(0), divergent for d <= 2; finite and certified to tol for d >= 3."""
     if d < 1:
         raise ValueError(f"dimension must be >= 1, got d={d}")
-    if tol <= 0:
-        raise ValueError(f"tol must be positive, got {tol}")
+    _check_tol(tol)
     if method == "time-integral":
         return _green_zero_cached(d, float(tol))
     if d <= 2:
@@ -481,8 +495,7 @@ def green_l2sq(d: int, tol: float = 1e-9) -> GreenEstimate:
     """|G_d|_2^2 = sum_x G_d(x)^2, divergent for d <= 4."""
     if d < 1:
         raise ValueError(f"dimension must be >= 1, got d={d}")
-    if tol <= 0:
-        raise ValueError(f"tol must be positive, got {tol}")
+    _check_tol(tol)
     return _green_l2sq_cached(d, float(tol))
 
 
@@ -497,8 +510,7 @@ def green_at(d: int, x: Sequence[int], tol: float = 1e-9) -> GreenEstimate:
     """G_d(x) for a lattice site x, via the per-coordinate Bessel factorization."""
     if d <= 2:
         raise ValueError(f"G_d(x) diverges for d={d} <= 2")
-    if tol <= 0:
-        raise ValueError(f"tol must be positive, got {tol}")
+    _check_tol(tol)
     x = tuple(int(c) for c in x)
     if len(x) != d:
         raise ValueError(f"site has {len(x)} coordinates, expected d={d}")
@@ -520,8 +532,7 @@ def alpha(d: int, tol: float = 1e-9) -> GreenEstimate:
     """alpha_d = G_d(0)/(2d |G_d|_2^2); exactly 0 for d in {3,4}."""
     if d <= 2:
         raise ValueError(f"alpha_d undefined for d={d} <= 2 (G_d(0) diverges)")
-    if tol <= 0:
-        raise ValueError(f"tol must be positive, got {tol}")
+    _check_tol(tol)
     if d <= 4:
         return GreenEstimate(d=d, quantity="alpha", value=0.0, abs_error=0.0,
                              method="time-integral")
@@ -532,65 +543,109 @@ def alpha(d: int, tol: float = 1e-9) -> GreenEstimate:
 # bulk evaluation on a cube (shared quadrature grid)
 # ---------------------------------------------------------------------------
 
-def _green_table(d: int, radius: int, tol: float) -> np.ndarray:
-    """G_d(x) on {-R,...,R}^d, one value per multiset of |coordinates|.
+# Products per chunk of the table build: (rows, nodes) temporaries near 0.5 MB
+_CHUNK_FLOATS = 1 << 16
 
-    Shape (R+1,)*d: entry table[k_1 <= ... <= k_d] is G_d at any x with those
-    sorted |x_i|; the other entries are 0.  All values share one quadrature
-    grid, so the cost is C(R+d, d) integrals rather than (2R+1)^d.
+
+def _multisets(m: int, radius: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Sorted multisets k_1 <= ... <= k_m of {0,...,R} (m >= 1), one row each
+    in lexicographic order, built a column at a time, and their orbit sizes
+    under the signed axis permutations B_m (the sites of {-R,...,R}^m with
+    those sorted |x_i|): m!/prod(repeats!) * 2^(number of k_i > 0)."""
+    if math.comb(radius + m, m) > MAX_SITES or (radius + 1) ** m >= 2 ** 63:
+        raise CapacityError(f"multisets of {m} values in 0..{radius} exceed the table budget")
+    keys = np.arange(radius + 1, dtype=np.int64)[:, None]
+    for _ in range(m - 1):   # a row ending in k spawns the rows appending k..R
+        last = keys[:, -1]
+        reps = radius + 1 - last
+        new = np.repeat(last - (np.cumsum(reps) - reps), reps) + np.arange(reps.sum())
+        keys = np.column_stack((np.repeat(keys, reps, axis=0), new))
+    fact = np.array([math.factorial(j) for j in range(m + 1)], dtype=np.int64)
+    mult = np.full(len(keys), fact[m])
+    for v in range(radius + 1):
+        mult //= fact[np.count_nonzero(keys == v, axis=1)]
+    return keys, mult << np.count_nonzero(keys, axis=1)
+
+
+def _rows(keys: np.ndarray, radius: int, sorted_keys: np.ndarray) -> np.ndarray:
+    """Index in keys (from _multisets) of each sorted row of sorted_keys, by
+    base-(R+1) codes, which rise with lexicographic order."""
+    place = (radius + 1) ** np.arange(keys.shape[1] - 1, -1, -1, dtype=np.int64)
+    return np.searchsorted(keys @ place, sorted_keys @ place)
+
+
+def _green_table(keys: np.ndarray, radius: int, tol: float) -> np.ndarray:
+    """G_d at each row of keys = _multisets(d, R)[0], i.e. at every x in the
+    radius-R cube with those sorted |x_i|: C(R+d, d) products over one shared
+    node set, in row chunks of about _CHUNK_FLOATS products.
 
     Fixed-node mode: T comes from _horizon, but the head uses 48 nodes per
     panel with no spread check and the tail adds only its midpoint, so the
     values carry no certificate.  None is needed: spectral.f0_rayleigh
-    evaluates a Rayleigh-type ratio of whatever vector it gets, so an inexact
-    table changes the test vector, not the soundness of the ratio.
+    evaluates a Rayleigh-type ratio of whatever vector it gets.  The
+    midpoint's A sums exact dyadic terms, so it has _tail_bracket's bits.
     """
+    _check_tol(tol)
+    d = keys.shape[1]
     T, _, _ = _horizon((radius,) * d, 0, 0.0, tol)
-    edges = _edges(0.25 / (d + 1.0), T)
-    t, w = _panel_nodes(edges, 48)
-    V = np.array([ive(k, 2.0 * t) for k in range(radius + 1)])
+    t, w = _panel_nodes(_edges(0.25 / (d + 1.0), T), 48)
+    V = ive(np.arange(radius + 1)[:, None], 2.0 * t)
+    # the tail midpoints; each chunk of rows then adds its head
+    out, _ = _envelope_tail(d, 0, 0.0, T, _env_a(keys).sum(axis=1), 0.0)
+    chunk = max(1, _CHUNK_FLOATS // t.size)
+    for lo in range(0, len(keys), chunk):
+        ks = keys[lo:lo + chunk]
+        prod = w * V[ks[:, 0]]
+        for i in range(1, d):
+            prod *= V[ks[:, i]]
+        out[lo:lo + chunk] += prod.sum(axis=1)
+    return out
 
-    from itertools import combinations_with_replacement
 
-    table = np.zeros((radius + 1,) * d)
-    for ks in combinations_with_replacement(range(radius + 1), d):
-        prod = w.copy()
-        for k in ks:
-            prod = prod * V[k]
-        mid, _ = _tail_bracket(ks, 0, 0.0, T)
-        table[ks] = float(prod.sum()) + mid
-    return table
+def _green_box_sums(d: int, radius: int, tol: float) -> Tuple[float, float, float]:
+    """(G(0), sum G^2, sum |grad G|^2) over the radius-R cube, G zero outside.
+
+    Each multiset counts with its orbit size.  The d axes give equal gradient
+    sums; on axis 1, G along a line is h(|x_1|) with the other |x_i| fixed,
+    with squared gradient 2 sum_{k<R} (h(k+1) - h(k))^2 + 2 h(R)^2.
+    """
+    keys, mult = _multisets(d, radius)
+    g = _green_table(keys, radius, tol)
+    sq = float(np.dot(mult, g * g))
+    rest, mult_rest = _multisets(d - 1, radius)
+    lines = np.empty((len(rest), radius + 1, d), dtype=np.int64)
+    lines[:, :, 0] = np.arange(radius + 1)
+    lines[:, :, 1:] = rest[:, None, :]
+    lines.sort(axis=2)
+    h = g[_rows(keys, radius, lines)]
+    per_line = 2.0 * np.sum(np.diff(h, axis=1) ** 2, axis=1) + 2.0 * h[:, radius] ** 2
+    return float(g[0]), sq, d * float(np.dot(mult_rest, per_line))
 
 
 def green_box_values(d: int, radius: int, tol: float = 1e-9) -> np.ndarray:
     """G_d(x) for every x in {-R,...,R}^d, as a C-contiguous array of shape
-    (2R+1,)*d.
-
-    The shared table of _green_table (one uncertified value per multiset of
-    |coordinates|), scattered over the cube by a sorted-key lookup.  The
-    lookup runs one (2R+1)^(d-1) slab at a time, so its index arrays stay a
-    factor 2R+1 smaller than the result.  spectral.f0_rayleigh reads the
-    table itself; this whole-cube form serves callers that want G_d site by
-    site, and is the tests' oracle for that table route.
+    (2R+1,)*d: the uncertified _green_table values, scattered through _rows
+    one (2R+1)^(d-1) slab at a time, so the index arrays stay a factor 2R+1
+    smaller than the result.  spectral.f0_rayleigh reads _green_box_sums
+    instead; this whole-cube form is the tests' oracle for those sums.
     """
     if d <= 2:
         raise ValueError(f"G_d diverges for d={d} <= 2")
+    if radius < 0:
+        raise ValueError(f"box radius must be >= 0, got R={radius}")
     L = 2 * radius + 1
     if L ** d > 60_000_000:
         raise CapacityError(f"green value grid (2R+1)^d = {L}^{d} too large")
-    table = _green_table(d, radius, tol)
+    keys, _ = _multisets(d, radius)
+    table = _green_table(keys, radius, tol)
 
-    # scatter by sorted |coordinate| key, one slab of the first axis at a time;
-    # slabs i and L-1-i hold the same values
+    # slabs i and L-1-i of the first axis hold the same values
     absk = np.abs(np.arange(-radius, radius + 1)).astype(np.int16)
     idx = np.unravel_index(np.arange(L ** (d - 1)), (L,) * (d - 1))
     rest = np.stack([absk[i] for i in idx], axis=1)
-    strides = np.array([(radius + 1) ** j for j in range(d - 1, -1, -1)], dtype=np.int64)
-    flat_table = table.ravel()
     out = np.empty((L,) * d)
     for k in range(radius + 1):
-        keys = np.concatenate([np.full((len(rest), 1), k, dtype=np.int16), rest], axis=1)
-        keys.sort(axis=1)
-        slab = flat_table[keys.astype(np.int64) @ strides].reshape((L,) * (d - 1))
-        out[radius + k] = out[radius - k] = slab
+        slab = np.concatenate([np.full((len(rest), 1), k, dtype=np.int16), rest], axis=1)
+        slab.sort(axis=1)
+        out[radius + k] = out[radius - k] = table[_rows(keys, radius, slab)].reshape(out.shape[1:])
     return out

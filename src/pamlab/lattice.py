@@ -119,33 +119,29 @@ def _check_axes(box: Box, axes: Iterable[int]) -> Tuple[int, ...]:
     return axes
 
 
-def _shift_slices(m: int, axes: int | Tuple[int, ...], side: int):
+def _shift_slices(m: int, axis: int, side: int):
     lo = [slice(None)] * m
     hi = [slice(None)] * m
-    for ax in axes if isinstance(axes, tuple) else (axes,):
-        lo[ax] = slice(0, side - 1)
-        hi[ax] = slice(1, side)
+    lo[axis] = slice(0, side - 1)
+    hi[axis] = slice(1, side)
     return tuple(lo), tuple(hi)
 
 
-def lap_grid(g: np.ndarray, groups: Sequence[int | Tuple[int, ...]]) -> np.ndarray:
-    """Zero-extended Laplacian of a grid-shaped array over 0-based hop groups.
+def lap_grid(g: np.ndarray, axes0: Sequence[int]) -> np.ndarray:
+    """Zero-extended Laplacian of a grid-shaped array over 0-based axes.
 
-    Each group is one 0-based axis, or a tuple of axes that a single hop
-    shifts together (the step e_a + e_b + ...); the term of a group is
-    f(x + e_G) + f(x - e_G) - 2 f(x), with f = 0 outside the box, so boundary
-    sites see a Dirichlet leak.  Works on raw arrays for the eigensolver's
-    matrix-free operator, where Field wrappers would cost an extra copy per
-    iteration.
+    With f = 0 outside the box, boundary sites see a Dirichlet leak.  Works
+    on raw arrays for the eigensolver's matrix-free operator, where Field
+    wrappers would cost an extra copy per iteration.
     """
     out = np.zeros_like(g)
     m = g.ndim
     side = g.shape[0]
-    for group in groups:
-        lo, hi = _shift_slices(m, group, side)
+    for ax in axes0:
+        lo, hi = _shift_slices(m, ax, side)
         out[lo] += g[hi]
         out[hi] += g[lo]
-    out -= 2 * len(groups) * g
+    out -= 2 * len(axes0) * g
     return out
 
 

@@ -270,13 +270,10 @@ def mu_inverse(d: int, t: float, tol: float = 1e-10) -> float:
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=32)
-def _collision_counts(d: int, pairs: tuple[tuple[int, int | None], ...], m: int,
-                      radius: int) -> np.ndarray:
-    """I_p as a flat vector over the box: the number of colliding block pairs.
-
-    The box coordinates form m/d blocks of d axes; a pair (a, b) collides
-    where block a equals block b, or where block a is 0 when b is None.
-    """
+def _collision_counts(d: int, p: int, n: int, radius: int) -> np.ndarray:
+    """I_p as a flat vector over the full box: at each site, the number of
+    walker-catalyst pairs (j, k) with x_j = y_k."""
+    m = d * (p + n)
     L = 2 * radius + 1
     coords = np.arange(-radius, radius + 1)
 
@@ -286,51 +283,15 @@ def _collision_counts(d: int, pairs: tuple[tuple[int, int | None], ...], m: int,
         return coords.reshape(shape)
 
     counts = np.zeros((L,) * m, dtype=np.float64)
-    for a, b in pairs:
-        eq = np.bool_(True)
-        for i in range(d):
-            eq = eq & (coord(a, i) == (0 if b is None else coord(b, i)))
-        counts += eq
+    for j in range(p):
+        for k in range(p, p + n):
+            eq = np.bool_(True)
+            for i in range(d):
+                eq = eq & (coord(j, i) == coord(k, i))
+            counts += eq
     out = counts.reshape(-1, order="F")
     out.flags.writeable = False
     return out
-
-
-class _Operator(NamedTuple):
-    """L_p, or its catalyst-frame fiber, restricted to a Dirichlet box.
-
-    hops lists (rate, hop groups) for lap_grid; pairs lists the colliding
-    coordinate blocks for _collision_counts.
-    """
-
-    params: PamParams
-    box: Box
-    hops: tuple[tuple[float, tuple], ...]
-    pairs: tuple[tuple[int, int | None], ...]
-
-
-def _operator(params: PamParams, radius: int, frame: bool = False) -> _Operator:
-    """The operator on the radius box, in full or catalyst-frame coordinates.
-
-    Full coordinates are (x_1..x_p, y_1..y_n) in Z^{d(p+n)}, one rate-kappa
-    or rate-rho hop per axis.  Catalyst-frame coordinates are
-    z = (x_j - y_1, y_k - y_1 for k >= 2) in Z^{d(p+n-1)}: a move of
-    catalyst 1 shifts every block at once, so it becomes d rate-rho diagonal
-    hops, and catalyst 1 sits at z = 0.
-    """
-    d, n, p = params.d, params.n, params.p
-    blocks = p + n - 1 if frame else p + n
-    kappa_hops = tuple(range(d * p))
-    rho_hops = tuple(range(d * p, d * blocks))
-    if frame:
-        rho_hops += tuple(tuple(b * d + i for b in range(blocks)) for i in range(d))
-        pairs = tuple((j, None) for j in range(p)) + tuple(
-            (j, p + k) for j in range(p) for k in range(n - 1))
-    else:
-        pairs = tuple((j, p + k) for j in range(p) for k in range(n))
-    box = build_box(d * blocks, radius)
-    return _Operator(params, box, ((params.kappa, kappa_hops), (params.rho, rho_hops)),
-                     pairs)
 
 
 def apply_generator(params: PamParams, f: Field) -> Field:
@@ -338,17 +299,20 @@ def apply_generator(params: PamParams, f: Field) -> Field:
     if f.box.m != params.m:
         raise DimensionMismatchError(
             f"field lives on an m={f.box.m} box, operator needs m=d(p+n)={params.m}")
-    out = _apply_flat(_operator(params, f.box.radius), f.values)
+    out = _apply_flat(params, f.box, f.values)
     return Field(f.box, out)
 
 
-def _apply_flat(op: _Operator, v: np.ndarray, shift: float = 0.0) -> np.ndarray:
-    ip = _collision_counts(op.params.d, op.pairs, op.box.m, op.box.radius)
+def _apply_flat(params: PamParams, box: Box, v: np.ndarray,
+                shift: float = 0.0) -> np.ndarray:
+    """L_p v (+ shift v) on the full box, with v flat in F order."""
+    ip = _collision_counts(params.d, params.p, params.n, box.radius)
     out = (ip + shift) * v if shift else ip * v
-    g = v.reshape(op.box.shape, order="F")
-    for rate, groups in op.hops:
+    g = v.reshape(box.shape, order="F")
+    walkers = params.d * params.p    # the axes of x_1..x_p come first
+    for rate, axes in ((params.kappa, range(walkers)), (params.rho, range(walkers, box.m))):
         if rate:
-            out += rate * lap_grid(g, groups).reshape(-1, order="F")
+            out += rate * lap_grid(g, axes).reshape(-1, order="F")
     return out
 
 
@@ -603,13 +567,11 @@ def top_eigen(params: PamParams, R: int, tol: float = 1e-8) -> LyapunovEstimate:
     return est
 
 
-def _top_eigen_vec(params: PamParams, R: int, tol: float,
-                   frame: bool = False) -> tuple[LyapunovEstimate, np.ndarray]:
-    """Top eigenpair on the full radius-R box, or on the whole catalyst-frame
-    box of radius 2R when frame is set; the estimate's radius is R either way."""
-    op = _operator(params, 2 * R if frame else R, frame)
+def _top_eigen_vec(params: PamParams, R: int, tol: float) -> tuple[LyapunovEstimate, np.ndarray]:
+    """Top eigenpair of L_p on the full radius-R box."""
+    box = build_box(params.m, R)
     shift = _shift(params)
-    sol = _top_pair(lambda v: _apply_flat(op, v, shift), _start_vector(op.box), tol,
+    sol = _top_pair(lambda v: _apply_flat(params, box, v, shift), _start_vector(box), tol,
                     _scale(params, shift))
     return _certified(params, R, shift, sol, tol), sol.vec
 
@@ -716,7 +678,7 @@ def tensor_gap(params: PamParams, R: int, tol: float = 1e-10) -> TensorGap:
     # independent route: materialize f~ and apply the p=2 operator
     f2 = np.einsum("ay,by->aby", M, M).reshape(-1, order="F")
     params2 = PamParams(d=d, n=n, p=2, kappa=params.kappa, rho=params.rho)
-    lf2 = _apply_flat(_operator(params2, R), f2)
+    lf2 = _apply_flat(params2, build_box(params2.m, R), f2)
     rayleigh2 = float(np.dot(f2, lf2)) / (2.0 * norm_sq)
 
     lam1 = est.value
@@ -779,53 +741,23 @@ class F0Bound:
         return self.value
 
 
-def _multisets(m: int, R: int) -> tuple[np.ndarray, np.ndarray]:
-    """Sorted multisets k_1 <= ... <= k_m of {0,...,R}, one row each, and how
-    many sites of {-R,...,R}^m have those sorted |x_i|: the orbit sizes of
-    the signed axis permutations B_m, m!/prod(repeats!) * 2^(number of k_i > 0)."""
-    keys = np.array(list(itertools.combinations_with_replacement(range(R + 1), m)),
-                    dtype=np.int64).reshape(-1, m)
-    fact = np.array([math.factorial(j) for j in range(m + 1)], dtype=np.int64)
-    mult = np.full(len(keys), fact[m])
-    for v in range(R + 1):
-        mult //= fact[np.count_nonzero(keys == v, axis=1)]
-    return keys, mult << np.count_nonzero(keys, axis=1)
-
-
 def f0_rayleigh(d: int, n: int, p: int, rho: float, R: int,
                 tol: float = 1e-9) -> F0Bound:
     """Evaluate the critical-kappa lower-bound functional of f0 on a box.
 
     As R grows the value tends to n G_d(0) - rho n/(p alpha_d); requires
-    d >= 5 so that |G_d|_2 is finite.  The three sums over the cube are read
-    from greens' table of G_d, one value per multiset of |x_i|, weighted by
-    orbit size, so memory is O((R+1)^d), not O((2R+1)^d).
+    d >= 5 so that |G_d|_2 is finite.  g(0) and the sums of g^2 and
+    |grad g|^2 over the cube come from greens' table of G_d, one value per
+    multiset of |x_i|, so memory is O(C(R+d, d)), not O((2R+1)^d).
     """
     if d <= 4:
         raise ValueError(f"f0 bound needs |G_d|_2 < inf, i.e. d >= 5; got d={d}")
-    if n < 1 or p < 1 or rho < 0 or R < 0:
+    if n < 1 or p < 1 or not (math.isfinite(rho) and rho >= 0) or R < 0:
         raise ValueError(f"bad parameters n={n}, p={p}, rho={rho}, R={R}")
-    table = greens._green_table(d, R, tol).ravel()
-    strides = (R + 1) ** np.arange(d - 1, -1, -1)
-    keys, mult = _multisets(d, R)
-    g = table[keys @ strides]
-    s2 = float(np.dot(mult, g * g))
-    center = float(table[0])
-    g0_sq = center * center / s2                  # normalized g(0)^2
-    # the d axes give equal gradient sums; on axis 1, g along each line is
-    # h(|x_1|) with the other |x_i| fixed, and its zero-extended squared
-    # gradient is 2 sum_{k<R} (h(k+1) - h(k))^2 + 2 h(R)^2
-    rest, mult_rest = _multisets(d - 1, R)
-    lines = np.empty((len(rest), R + 1, d), dtype=np.int64)
-    lines[:, :, 0] = np.arange(R + 1)
-    lines[:, :, 1:] = rest[:, None, :]
-    lines.sort(axis=2)
-    h = table[lines @ strides]
-    per_line = 2.0 * np.sum(np.diff(h, axis=1) ** 2, axis=1) + 2.0 * h[:, R] ** 2
-    grad = d * float(np.dot(mult_rest, per_line)) / s2   # normalized |grad g|_2^2
-    ip_mass = n * p * g0_sq       # sum I_p f0^2 over the product box
+    center, s2, grad_sq = greens._green_box_sums(d, R, tol)   # g = G / sqrt(s2)
+    ip_mass = n * p * (center * center / s2)     # sum I_p f0^2 over the product box
     grad_y_sq = 2.0 * d * n       # exact: delta_0 factors, zero-extended
-    grad_x_sq = p * grad
+    grad_x_sq = p * (grad_sq / s2)
     value = (ip_mass - rho * grad_y_sq) / grad_x_sq
     return F0Bound(d=d, n=n, p=p, rho=rho, radius=R, value=value,
                    ip_mass=ip_mass, grad_y_sq=grad_y_sq, grad_x_sq=grad_x_sq)

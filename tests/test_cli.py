@@ -307,6 +307,15 @@ def test_bad_solver_inputs_are_usage_errors(capsys, tmp_path, argv):
     assert not out.exists()
 
 
+def test_green_rejects_nan_tol(capsys, monkeypatch):
+    def no_quadrature(*args, **kwargs):
+        raise AssertionError("a NaN tol reached the quadrature")
+
+    monkeypatch.setattr(greens, "_certified_integral", no_quadrature)
+    code, out, err = run(capsys, "green", "--d", "3", "--tol", "nan")
+    assert code == 2 and out == "" and "tol must be finite and > 0, got nan" in err
+
+
 def test_lambda_spectral_rejects_tol_before_labelling(capsys, monkeypatch):
     def no_labelling(*args):
         raise AssertionError("tol reached the orbit labelling")

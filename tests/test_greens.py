@@ -7,13 +7,13 @@ reduction for the cube constants, and scipy's adaptive quadrature as an
 unrelated integrator.
 """
 import math
-from itertools import product
+from itertools import combinations_with_replacement, product
 
 import mpmath as mp
 import numpy as np
 import pytest
 from scipy.integrate import quad
-from scipy.special import erf, i0e
+from scipy.special import erf, i0e, ive
 
 from pamlab import greens
 from pamlab.greens import (
@@ -444,6 +444,73 @@ def test_box_values_validation():
         green_box_values(2, 1)
     with pytest.raises(CapacityError):
         green_box_values(3, 200)
+
+
+def test_box_values_reject_bad_radius_and_tol():
+    with pytest.raises(ValueError, match="radius must be >= 0"):
+        green_box_values(3, -1)
+    for tol in (math.nan, 0.0, -1.0, math.inf):
+        with pytest.raises(ValueError, match="tol must be finite and > 0"):
+            green_box_values(3, 2, tol)
+
+
+@pytest.mark.parametrize("tol", [math.nan, 0.0, -1.0, math.inf])
+def test_every_public_quantity_checks_tol(monkeypatch, tol):
+    # a NaN once slipped past tol <= 0 and ran the quadrature to its 1e8 horizon
+    def no_quadrature(*args, **kwargs):
+        raise AssertionError("tol reached the quadrature")
+
+    monkeypatch.setattr(greens, "_certified_integral", no_quadrature)
+    for call in (lambda: green_zero(3, tol), lambda: green_l2sq(5, tol),
+                 lambda: green_at(3, (1, 0, 0), tol), lambda: alpha(5, tol),
+                 lambda: green_zero(3, tol, method="fourier-quadrature")):
+        with pytest.raises(ValueError, match="tol must be finite and > 0"):
+            call()
+
+
+# ---------------------------------------------------------------------------
+# the flat multiset table
+# ---------------------------------------------------------------------------
+
+def loop_green_table(d: int, radius: int, tol: float) -> np.ndarray:
+    """The table one multiset at a time, in a dense (R+1)^d array: the scalar
+    _tail_bracket midpoint per multiset, and the head as a product of
+    per-order Bessel rows over the same 48-node panels."""
+    T, _, _ = greens._horizon((radius,) * d, 0, 0.0, tol)
+    t, w = greens._panel_nodes(greens._edges(0.25 / (d + 1.0), T), 48)
+    V = np.array([ive(k, 2.0 * t) for k in range(radius + 1)])
+    table = np.zeros((radius + 1,) * d)
+    for ks in combinations_with_replacement(range(radius + 1), d):
+        prod = w.copy()
+        for k in ks:
+            prod = prod * V[k]
+        mid, _ = greens._tail_bracket(ks, 0, 0.0, T)
+        table[ks] = float(prod.sum()) + mid
+    return table
+
+
+@pytest.mark.parametrize("d, R", [(3, 0), (3, 20), (5, 12), (6, 6)])
+def test_flat_table_matches_the_multiset_loop(d, R):
+    keys, _ = greens._multisets(d, R)
+    got = greens._green_table(keys, R, 1e-9)
+    assert np.array_equal(got, loop_green_table(d, R, 1e-9)[tuple(keys.T)])
+
+
+@pytest.mark.parametrize("m, R", [(1, 0), (1, 4), (3, 0), (3, 5), (5, 3)])
+def test_multisets_enumerate_sorted_keys_in_order(m, R):
+    keys, mult = greens._multisets(m, R)
+    want = list(combinations_with_replacement(range(R + 1), m))
+    assert [tuple(row) for row in keys.tolist()] == want
+    assert int(mult.sum()) == (2 * R + 1) ** m
+    # the lookup maps every row to its own index
+    assert np.array_equal(greens._rows(keys, R, keys), np.arange(len(keys)))
+
+
+def test_multisets_refuse_an_oversized_table():
+    with pytest.raises(CapacityError):
+        greens._multisets(5, 100)            # C(105, 5) = 96M rows
+    with pytest.raises(CapacityError):
+        greens._multisets(20, 8)             # 9^20 overflows the int64 codes
 
 
 def test_estimate_divergent_flag():

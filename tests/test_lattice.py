@@ -12,7 +12,6 @@ from pamlab.lattice import (
     Field,
     build_box,
     grad_sq_norm,
-    lap_grid,
     norms,
 )
 
@@ -256,24 +255,3 @@ def test_norms_delta():
 def test_inner_box_mismatch():
     with pytest.raises(ValueError):
         inner(delta_field(build_box(1, 1)), delta_field(build_box(1, 2)))
-
-
-def test_lap_grid_diagonal_hop_group():
-    # a group of axes is one hop by e_0 + e_2: f(x + e_G) + f(x - e_G) - 2 f(x)
-    box = build_box(3, 2)
-    rng = np.random.Generator(np.random.Philox(key=np.uint64(17)))
-    f = Field(box, rng.standard_normal(box.size))
-    want = np.zeros(box.size)
-    for i in range(box.size):
-        site = box_site(box, i)
-        acc = -2.0 * f.values[i]
-        for sg in (+1, -1):
-            nb = (site[0] + sg, site[1], site[2] + sg)
-            if max(abs(nb[0]), abs(nb[2])) <= box.radius:
-                acc += f[nb]
-        want[i] = acc
-    got = lap_grid(f.grid(), [(0, 2)]).reshape(-1, order="F")
-    assert np.allclose(got, want, atol=1e-12)
-    # single-axis groups are the plain Laplacian
-    assert np.allclose(lap_grid(f.grid(), [(0,), 1]).reshape(-1, order="F"),
-                       axis_laplacian(f, (1, 2)).values, atol=1e-12)

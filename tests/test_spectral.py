@@ -8,13 +8,16 @@ labels, and the whole catalyst-frame box for its symmetric sector.
 """
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import sparse
 from scipy.integrate import quad
 from scipy.optimize import brentq
+from scipy.sparse.linalg import eigsh
 
 from pamlab import greens, spectral
 from pamlab.lattice import (
@@ -43,11 +46,9 @@ from pamlab.spectral import (
     _apply_flat,
     _orbit_keys,
     _orbit_sites,
-    _operator,
     _quotient,
     _quotient_top,
     _site_coords,
-    _top_eigen_vec,
 )
 
 from lattice_helpers import box_site, delta_field
@@ -119,6 +120,48 @@ def naive_frame_apply(params: PamParams, box: Box, vec: np.ndarray) -> np.ndarra
                 acc += nu * (value(nb) - vec[i])
         out[i] = acc
     return out
+
+
+def frame_matrix(params: PamParams, radius: int) -> sparse.csr_matrix:
+    """The operator H_0 in the frame of catalyst 1 on the frame box of this
+    radius, as a sparse matrix over F-order site indices.
+
+    Each hop is T + T^T - 2 I, where T is the Kronecker product over the box
+    axes of the 1-D Dirichlet shift (on the axes the hop moves) or the
+    identity: a walker or catalyst k >= 2 moves one block axis, and a
+    catalyst-1 move shifts axis i of every block at once.
+    """
+    d, n, p = params.d, params.n, params.p
+    blocks = p + n - 1
+    m = d * blocks
+    L = 2 * radius + 1
+    step, stay = sparse.eye(L, k=1, format="csr"), sparse.identity(L, format="csr")
+
+    def hop(axes):
+        T = sparse.identity(1, format="csr")
+        for a in reversed(range(m)):      # axis 0 runs fastest: the last factor
+            T = sparse.kron(T, step if a in axes else stay, format="csr")
+        return T + T.T - 2.0 * sparse.identity(L ** m)
+
+    H = sparse.csr_matrix((L ** m, L ** m))
+    for a in range(m):
+        H = H + (params.kappa if a < d * p else params.rho) * hop({a})
+    for i in range(d):
+        H = H + params.rho * hop(set(range(i, m, d)))
+    z = _site_coords(np.arange(L ** m), d, blocks, radius)
+    others = np.concatenate((np.zeros_like(z[:, :1]), z[:, p:]), axis=1)
+    collisions = (z[:, :p, None, :] == others[:, None]).all(axis=3).sum(axis=(1, 2))
+    return (H + sparse.diags(collisions.astype(np.float64))).tocsr()
+
+
+def frame_top(params: PamParams, radius: int) -> float:
+    """(1/p) * the top eigenvalue of H_0 on the whole frame box."""
+    H = frame_matrix(params, radius)
+    if H.shape[0] <= 2000:
+        theta = np.linalg.eigvalsh(H.toarray())[-1]
+    else:
+        theta = eigsh(H, k=1, which="LA", return_eigenvectors=False)[0]
+    return float(theta) / params.p
 
 
 # ---------------------------------------------------------------------------
@@ -336,12 +379,12 @@ def test_apply_matches_naive_oracle(d, n, p, R):
                                      (2, 1, 1, 1), (2, 2, 1, 1)])
 def test_frame_apply_matches_naive_oracle(d, n, p, R):
     params = PamParams(d=d, n=n, p=p, kappa=0.35, rho=0.15)
-    op = _operator(params, R, frame=True)
-    assert op.box.m == d * (p + n - 1)
+    box = build_box(d * (p + n - 1), R)
+    H = frame_matrix(params, R)
+    assert H.shape == (box.size, box.size)
     rng = np.random.Generator(np.random.Philox(key=np.uint64(d * 11 + n + 5 * p)))
-    v = rng.standard_normal(op.box.size)
-    assert np.allclose(_apply_flat(op, v), naive_frame_apply(params, op.box, v),
-                       atol=1e-12)
+    v = rng.standard_normal(box.size)
+    assert np.allclose(H @ v, naive_frame_apply(params, box, v), atol=1e-12)
 
 
 def test_apply_self_adjoint():
@@ -542,10 +585,10 @@ def test_arpack_failure_reports_the_start_vector(monkeypatch):
     starve_arpack(monkeypatch)
     with pytest.raises(ConvergenceError) as exc:
         top_eigen(params, 40, 1e-13)
-    op = _operator(params, 40)
+    box = build_box(params.m, 40)
     shift = spectral._shift(params)
-    v0 = spectral._start_vector(op.box)
-    Av = _apply_flat(op, v0, shift)
+    v0 = spectral._start_vector(box)
+    Av = _apply_flat(params, box, v0, shift)
     theta = float(np.dot(v0, Av))
     best = exc.value.best
     assert best.solver == "arpack"
@@ -682,11 +725,10 @@ def test_quotient_is_the_frame_operator_on_invariant_functions(d, p, n, radius,
     Q = (kappa * q.kappa_hops + rho * q.rho_hops).toarray() + np.diag(
         q.collisions + shift - 2.0 * d * (p * kappa + n * rho))
     assert np.array_equal(Q, Q.T)
-    op = _operator(params, radius, frame=True)
     rng = np.random.Generator(np.random.Philox(key=np.uint64(7 * d + p + 3 * n)))
     c = rng.standard_normal(len(q.sizes))
     f = lifted(q, d, p, n, radius, c)
-    Hf = _apply_flat(op, f, shift)
+    Hf = frame_matrix(params, radius) @ f + shift * f
     assert np.allclose(Hf, lifted(q, d, p, n, radius, Q @ c),
                        atol=1e-12)
     theta = float(c @ (Q @ c)) / float(c @ c)
@@ -706,9 +748,8 @@ def test_quotient_matches_the_whole_frame_box(d, R, n, p, kappa, rho):
     params = PamParams(d=d, n=n, p=p, kappa=kappa, rho=rho)
     tol = 1e-8
     got = _quotient_top(params, R, tol)
-    want, _ = _top_eigen_vec(params, R, tol, frame=True)
-    assert got.value == pytest.approx(want.value, abs=tol)
-    assert got.dim < want.dim
+    assert got.value == pytest.approx(frame_top(params, 2 * R), abs=tol)
+    assert got.dim < (4 * R + 1) ** (d * (p + n - 1))
 
 
 def test_quotient_krylov_path():
@@ -874,7 +915,7 @@ def test_f0_table_route_matches_grid_route(d, R):
         assert abs(got - ref) <= 1e-13 * abs(ref)
     # the orbit sizes tile the cube and every line's (d-1)-face
     for m in (d, d - 1):
-        keys, mult = spectral._multisets(m, R)
+        keys, mult = greens._multisets(m, R)
         assert int(mult.sum()) == (2 * R + 1) ** m
         assert np.all(np.diff(keys, axis=1) >= 0)
 
@@ -887,6 +928,44 @@ def test_f0_beyond_the_grid_cap():
     b16 = f0_rayleigh(5, 1, 1, 0.0, 16)
     b18 = f0_rayleigh(5, 1, 1, 0.0, 18)
     assert b16.value < b18.value <= g0.value + g0.abs_error
+
+
+# (value, ip_mass, grad_x_sq) of f0_rayleigh(d, 1, 1, 0.0, R), recorded from
+# the dense (R+1)^d table built one multiset at a time; the flat table must
+# give the same bits
+F0_PINS = {
+    (5, 12): (0.11561081413244335, 0.7000142335622315, 6.054920024698533),
+    (5, 16): (0.11561935056998027, 0.6978088281626902, 6.03539826787326),
+    (5, 18): (0.1156216987995436, 0.6970667850253591, 6.028857837782527),
+    (6, 2): (0.09300364256439415, 0.8304120758192526, 8.928812387582447),
+}
+
+
+@pytest.mark.parametrize("d, R", list(F0_PINS))
+def test_f0_values_are_pinned(d, R):
+    b = f0_rayleigh(d, 1, 1, 0.0, R)
+    assert (b.value, b.ip_mass, b.grad_x_sq) == F0_PINS[d, R]
+
+
+def test_f0_table_memory_stays_flat():
+    # the dense (R+1)^d table and its per-multiset build peaked at 17.7 MB
+    f0_rayleigh(5, 1, 1, 0.0, 2)     # imports and quadrature caches first
+    tracemalloc.start()
+    try:
+        f0_rayleigh(5, 1, 1, 0.0, 16)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10_000_000
+
+
+@pytest.mark.parametrize("bad", [dict(rho=math.nan), dict(rho=math.inf),
+                                 dict(tol=math.nan), dict(tol=0.0), dict(tol=-1.0),
+                                 dict(tol=math.inf)])
+def test_f0_rejects_non_finite_inputs(bad):
+    args = dict(d=5, n=1, p=1, rho=0.0, R=2) | bad
+    with pytest.raises(ValueError):
+        f0_rayleigh(**args)
 
 
 def test_f0_rho_dependence_is_exact_shift():

@@ -551,8 +551,14 @@ def _multisets(m: int, radius: int) -> Tuple[np.ndarray, np.ndarray]:
     """Sorted multisets k_1 <= ... <= k_m of {0,...,R} (m >= 1), one row each
     in lexicographic order, built a column at a time, and their orbit sizes
     under the signed axis permutations B_m (the sites of {-R,...,R}^m with
-    those sorted |x_i|): m!/prod(repeats!) * 2^(number of k_i > 0)."""
-    if math.comb(radius + m, m) > MAX_SITES or (radius + 1) ** m >= 2 ** 63:
+    those sorted |x_i|): m!/prod(repeats!) * 2^(number of k_i > 0).
+
+    The orbit sizes sum to (2R+1)^m, which must stay below 2^63 (it also
+    bounds the base-(R+1) codes of _rows).  The multinomial is the running
+    product over v of C(c_0+...+c_v, c_v), c_v the repeats of v; each
+    partial product divides the orbit size, so none overflows int64.
+    """
+    if math.comb(radius + m, m) > MAX_SITES or (2 * radius + 1) ** m >= 2 ** 63:
         raise CapacityError(f"multisets of {m} values in 0..{radius} exceed the table budget")
     keys = np.arange(radius + 1, dtype=np.int64)[:, None]
     for _ in range(m - 1):   # a row ending in k spawns the rows appending k..R
@@ -560,10 +566,18 @@ def _multisets(m: int, radius: int) -> Tuple[np.ndarray, np.ndarray]:
         reps = radius + 1 - last
         new = np.repeat(last - (np.cumsum(reps) - reps), reps) + np.arange(reps.sum())
         keys = np.column_stack((np.repeat(keys, reps, axis=0), new))
-    fact = np.array([math.factorial(j) for j in range(m + 1)], dtype=np.int64)
-    mult = np.full(len(keys), fact[m])
+    # C(n, k) for k <= n <= m, saturated at 2^63 - 1; no read hits a
+    # saturated entry, as each C(s_v, c_v) read divides an orbit size
+    cap = 2 ** 63 - 1
+    comb = np.zeros((m + 1, m + 1), dtype=np.int64)
+    for n in range(m + 1):
+        comb[n, :n + 1] = [min(math.comb(n, k), cap) for k in range(n + 1)]
+    mult = np.ones(len(keys), dtype=np.int64)
+    seen = np.zeros(len(keys), dtype=np.int64)
     for v in range(radius + 1):
-        mult //= fact[np.count_nonzero(keys == v, axis=1)]
+        c = np.count_nonzero(keys == v, axis=1)
+        seen += c
+        mult *= comb[seen, c]
     return keys, mult << np.count_nonzero(keys, axis=1)
 
 

@@ -30,6 +30,7 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 from . import greens
@@ -112,6 +113,16 @@ def classify(d: int, n: int, kappa: float, rho: float) -> Regime:
         raise ValueError(f"d and n must be positive, got d={d}, n={n}")
     if not all(math.isfinite(r) and r >= 0 for r in (kappa, rho)):
         raise ValueError(f"rates must be finite and >= 0, got kappa={kappa}, rho={rho}")
+    try:
+        return _classify_cached(d, n, float(kappa), float(rho))
+    except (ValueError, ArithmeticError) as exc:
+        # not cached: a failure is recomputed, never replayed
+        return Regime(label="Unresolved", justification=f"numerical failure: {exc}")
+
+
+@lru_cache(maxsize=4096)
+def _classify_cached(d: int, n: int, kappa: float, rho: float) -> Regime:
+    # a sweep asks once per p row; the regime does not depend on p
     if d <= 2:
         return Regime(
             label="PartialIntermittent",
@@ -119,35 +130,32 @@ def classify(d: int, n: int, kappa: float, rho: float) -> Regime:
                 "d <= 2: the walk is recurrent-dominated and some finite moment "
                 "order is always intermittent; full intermittency is conjectured, "
                 "not asserted"))
-    try:
-        gz = greens.green_zero(d, _TOL).value
-        if kappa >= n * gz:
-            return Regime(
-                label="NotIntermittent",
-                justification=(
-                    f"kappa >= n*G_d(0) = {n * gz!r}: "
-                    f"all annealed exponents vanish"))
-        for q in range(2, _MAX_CERTIFIED_Q + 1):
-            upper_prev = kappa_bounds(d, n, q - 1, rho).upper
-            lower_q = kappa_bounds(d, n, q, rho).lower
-            if upper_prev <= kappa < lower_q:
-                return Regime(
-                    label="CertifiedQIntermittent",
-                    q=q,
-                    justification=(
-                        f"bound window: kappa_bounds(p={q - 1}).upper = "
-                        f"{upper_prev!r} <= kappa < {lower_q!r} = "
-                        f"kappa_bounds(p={q}).lower, so lambda_{q - 1} = 0 < "
-                        f"lambda_{q}"),
-                )
+    gz = greens.green_zero(d, _TOL).value
+    if kappa >= n * gz:
         return Regime(
-            label="PartialIntermittent",
+            label="NotIntermittent",
             justification=(
-                "kappa < n*G_d(0): lambda_1 > 0, but no bound window certifies "
-                "a moment separation at this point (conjectured regions are "
-                "not asserted)"))
-    except (ValueError, ArithmeticError) as exc:
-        return Regime(label="Unresolved", justification=f"numerical failure: {exc}")
+                f"kappa >= n*G_d(0) = {n * gz!r}: "
+                f"all annealed exponents vanish"))
+    for q in range(2, _MAX_CERTIFIED_Q + 1):
+        upper_prev = kappa_bounds(d, n, q - 1, rho).upper
+        lower_q = kappa_bounds(d, n, q, rho).lower
+        if upper_prev <= kappa < lower_q:
+            return Regime(
+                label="CertifiedQIntermittent",
+                q=q,
+                justification=(
+                    f"bound window: kappa_bounds(p={q - 1}).upper = "
+                    f"{upper_prev!r} <= kappa < {lower_q!r} = "
+                    f"kappa_bounds(p={q}).lower, so lambda_{q - 1} = 0 < "
+                    f"lambda_{q}"),
+            )
+    return Regime(
+        label="PartialIntermittent",
+        justification=(
+            "kappa < n*G_d(0): lambda_1 > 0, but no bound window certifies "
+            "a moment separation at this point (conjectured regions are "
+            "not asserted)"))
 
 
 # ---------------------------------------------------------------------------

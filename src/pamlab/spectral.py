@@ -64,10 +64,10 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 from scipy import sparse
-from scipy.optimize import brentq
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
 from . import greens
+from ._brent import brentq
 from .lattice import (
     Box,
     DimensionMismatchError,
@@ -204,9 +204,10 @@ def mu(d: int, kappa: float, tol: float = 1e-10) -> float:
     Exactly 1 for kappa <= tol/(4d), where 1 - 2 d kappa <= mu <= 1 already
     pins it within tol/2; exactly 0 for kappa >= G_d(0) (d >= 3); otherwise
     the unique positive root of the diagonal resolvent identity, found by
-    bracketed root-finding over [tol/2, 1 + 4 d kappa] on certified quadrature
-    values and clamped to [0, 1].  Continuous, non-increasing and convex in
-    kappa.  tol must be at least 1e-12 (_MU_TOL_FLOOR).
+    Brent's method (_brent.brentq, a port of scipy's brentq) over
+    [tol/2, 1 + 4 d kappa] on certified quadrature values and clamped to
+    [0, 1].  Continuous, non-increasing and convex in kappa.  tol must be at
+    least 1e-12 (_MU_TOL_FLOOR).
     """
     if d < 1:
         raise ValueError(f"dimension must be >= 1, got d={d}")

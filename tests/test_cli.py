@@ -359,3 +359,15 @@ def test_cli_import_leaves_mpmath_out():
         capture_output=True, text=True, timeout=120, env=dict(os.environ, PYTHONPATH=src))
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_cli_import_leaves_scipy_optimize_out():
+    # mu's root-finder is pamlab._brent; scipy.optimize (and the linprog,
+    # shgo and scipy.spatial it imports) is a test oracle only
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, pamlab.cli; "
+         "print([m for m in ('scipy.optimize', 'scipy.spatial') if m in sys.modules])"],
+        capture_output=True, text=True, timeout=120, env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

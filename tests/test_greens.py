@@ -513,6 +513,24 @@ def test_multisets_refuse_an_oversized_table():
         greens._multisets(20, 8)             # 9^20 overflows the int64 codes
 
 
+@pytest.mark.parametrize("R", [1, 2])
+def test_multiset_orbits_tile_the_cube_up_to_the_int64_bound(R):
+    # the orbit sizes are exact up to the last m with (2R+1)^m < 2^63 (m = 39
+    # at R = 1, where m! alone overflows int64 from m = 21 on)
+    m = 1
+    while (2 * R + 1) ** m < 2 ** 63:
+        _, mult = greens._multisets(m, R)
+        assert int(mult.sum()) == (2 * R + 1) ** m
+        m += 1
+    with pytest.raises(CapacityError):
+        greens._multisets(m, R)
+
+
+def test_multisets_of_one_value_are_single_orbits():
+    keys, mult = greens._multisets(60, 0)
+    assert keys.shape == (1, 60) and mult.tolist() == [1]
+
+
 def test_estimate_divergent_flag():
     fin = GreenEstimate(d=3, quantity="G(0)", value=0.25, abs_error=1e-9,
                         method="time-integral")

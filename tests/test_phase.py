@@ -190,9 +190,13 @@ def test_classify_survives_numerical_failure(monkeypatch):
     def boom(*a, **k):
         raise ValueError("synthetic failure")
     monkeypatch.setattr(phase.greens, "green_zero", boom)
+    phase._classify_cached.cache_clear()   # regimes classified earlier are cached
     r = classify(3, 1, 0.1, 0.1)
     assert r.label == "Unresolved"
     assert "synthetic failure" in r.justification
+    # the failure is not cached: the next call computes again
+    monkeypatch.undo()
+    assert classify(3, 1, 0.1, 0.1).label == "PartialIntermittent"
 
 
 # ---------------------------------------------------------------------------
@@ -232,6 +236,18 @@ def test_sweep_d3_crosses_the_transition(tmp_path):
     assert rows[1].lambda_est <= 1e-8
     assert rows[1].kappa >= rows[1].kappa_upper
     assert "certified" in rows[1].regime.justification
+
+
+def test_sweep_classifies_once_per_kappa_rho(tmp_path):
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    phase._classify_cached.cache_clear()
+    sweep(3, 1, [1, 2], [0.1, 0.3], [0.1], str(a), radii=[1])
+    info = phase._classify_cached.cache_info()
+    assert (info.misses, info.hits) == (2, 2)
+    # a second sweep reads every regime from the cache, to the same bytes
+    sweep(3, 1, [1, 2], [0.1, 0.3], [0.1], str(b), radii=[1])
+    assert phase._classify_cached.cache_info().misses == 2
+    assert a.read_bytes() == b.read_bytes()
 
 
 def test_sweep_worker_count_does_not_change_output(tmp_path):

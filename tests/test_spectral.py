@@ -930,6 +930,13 @@ def test_f0_beyond_the_grid_cap():
     assert b16.value < b18.value <= g0.value + g0.abs_error
 
 
+def test_f0_in_high_dimension():
+    # 21! overflowed the int64 orbit sizes; the binomial product does not
+    b = f0_rayleigh(21, 1, 1, 0.0, 1)
+    g0 = greens.green_zero(21)
+    assert math.isfinite(b.value) and 0.0 < b.value <= g0.value + g0.abs_error
+
+
 # (value, ip_mass, grad_x_sq) of f0_rayleigh(d, 1, 1, 0.0, R), recorded from
 # the dense (R+1)^d table built one multiset at a time; the flat table must
 # give the same bits

@@ -30,7 +30,6 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Sequence
 
 from . import greens
@@ -113,16 +112,6 @@ def classify(d: int, n: int, kappa: float, rho: float) -> Regime:
         raise ValueError(f"d and n must be positive, got d={d}, n={n}")
     if not all(math.isfinite(r) and r >= 0 for r in (kappa, rho)):
         raise ValueError(f"rates must be finite and >= 0, got kappa={kappa}, rho={rho}")
-    try:
-        return _classify_cached(d, n, float(kappa), float(rho))
-    except (ValueError, ArithmeticError) as exc:
-        # not cached: a failure is recomputed, never replayed
-        return Regime(label="Unresolved", justification=f"numerical failure: {exc}")
-
-
-@lru_cache(maxsize=4096)
-def _classify_cached(d: int, n: int, kappa: float, rho: float) -> Regime:
-    # a sweep asks once per p row; the regime does not depend on p
     if d <= 2:
         return Regime(
             label="PartialIntermittent",
@@ -130,32 +119,35 @@ def _classify_cached(d: int, n: int, kappa: float, rho: float) -> Regime:
                 "d <= 2: the walk is recurrent-dominated and some finite moment "
                 "order is always intermittent; full intermittency is conjectured, "
                 "not asserted"))
-    gz = greens.green_zero(d, _TOL).value
-    if kappa >= n * gz:
-        return Regime(
-            label="NotIntermittent",
-            justification=(
-                f"kappa >= n*G_d(0) = {n * gz!r}: "
-                f"all annealed exponents vanish"))
-    for q in range(2, _MAX_CERTIFIED_Q + 1):
-        upper_prev = kappa_bounds(d, n, q - 1, rho).upper
-        lower_q = kappa_bounds(d, n, q, rho).lower
-        if upper_prev <= kappa < lower_q:
+    try:
+        gz = greens.green_zero(d, _TOL).value
+        if kappa >= n * gz:
             return Regime(
-                label="CertifiedQIntermittent",
-                q=q,
+                label="NotIntermittent",
                 justification=(
-                    f"bound window: kappa_bounds(p={q - 1}).upper = "
-                    f"{upper_prev!r} <= kappa < {lower_q!r} = "
-                    f"kappa_bounds(p={q}).lower, so lambda_{q - 1} = 0 < "
-                    f"lambda_{q}"),
-            )
-    return Regime(
-        label="PartialIntermittent",
-        justification=(
-            "kappa < n*G_d(0): lambda_1 > 0, but no bound window certifies "
-            "a moment separation at this point (conjectured regions are "
-            "not asserted)"))
+                    f"kappa >= n*G_d(0) = {n * gz!r}: "
+                    f"all annealed exponents vanish"))
+        for q in range(2, _MAX_CERTIFIED_Q + 1):
+            upper_prev = kappa_bounds(d, n, q - 1, rho).upper
+            lower_q = kappa_bounds(d, n, q, rho).lower
+            if upper_prev <= kappa < lower_q:
+                return Regime(
+                    label="CertifiedQIntermittent",
+                    q=q,
+                    justification=(
+                        f"bound window: kappa_bounds(p={q - 1}).upper = "
+                        f"{upper_prev!r} <= kappa < {lower_q!r} = "
+                        f"kappa_bounds(p={q}).lower, so lambda_{q - 1} = 0 < "
+                        f"lambda_{q}"),
+                )
+        return Regime(
+            label="PartialIntermittent",
+            justification=(
+                "kappa < n*G_d(0): lambda_1 > 0, but no bound window certifies "
+                "a moment separation at this point (conjectured regions are "
+                "not asserted)"))
+    except (ValueError, ArithmeticError) as exc:
+        return Regime(label="Unresolved", justification=f"numerical failure: {exc}")
 
 
 # ---------------------------------------------------------------------------
@@ -205,8 +197,15 @@ def _auto_radii(params: PamParams) -> list[int]:
     return radii[-3:] if radii else [0]
 
 
+def _classify_or_error(d: int, n: int, kappa: float, rho: float) -> Regime | Exception:
+    try:
+        return classify(d, n, kappa, rho)
+    except Exception as exc:  # noqa: BLE001 - raised again in each row it belongs to
+        return exc
+
+
 def _row_job(args) -> PhaseRow:
-    d, n, p, kappa, rho, radii, tol = args
+    d, n, p, kappa, rho, radii, tol, regime = args
     params = PamParams(d=d, n=n, p=p, kappa=kappa, rho=rho)
     if d <= 2:
         k_lo = k_hi = math.inf
@@ -221,7 +220,8 @@ def _row_job(args) -> PhaseRow:
     except ConvergenceError as exc:
         lam = exc.best.value
         kind = f"spectral(R={exc.best.radius},unconverged)"
-    regime = classify(d, n, kappa, rho)
+    if isinstance(regime, Exception):
+        raise regime
     if regime.label not in ("NotIntermittent", "Unresolved") and d >= 3 and kappa >= k_hi:
         regime = Regime(
             label="ZeroExponent",
@@ -323,7 +323,10 @@ def sweep(d: int, n: int, p_values: Sequence[int], kappas: Sequence[float],
         writer = csv.writer(fh, lineterminator="\n")
         if not done:
             writer.writerow(PHASE_CSV_HEADER)
-        pending = jobs[done:]
+        # the regime does not depend on p: classify once per (kappa, rho)
+        regimes = {kr: _classify_or_error(d, n, *kr)
+                   for kr in dict.fromkeys(job[3:5] for job in jobs[done:])}
+        pending = [job + (regimes[job[3:5]],) for job in jobs[done:]]
         if workers > 1 and len(pending) > 1:
             pool = ProcessPoolExecutor(max_workers=workers)
             futures = [pool.submit(_safe_row_job, job) for job in pending]

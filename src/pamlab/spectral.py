@@ -195,7 +195,7 @@ def _mu_cached(d: int, kappa: float, tol: float) -> float:
     root = brentq(lambda m: _resolvent_minus_one(d, kappa, m, quad_tol),
                   lo, hi, xtol=0.5 * tol, rtol=4 * np.finfo(float).eps)
     # the root-find's error may overshoot the theorem bound mu <= 1 at tiny kappa
-    return min(float(root), 1.0)
+    return min(root, 1.0)
 
 
 def mu(d: int, kappa: float, tol: float = 1e-10) -> float:
@@ -237,8 +237,7 @@ def _mu_inverse_cached(d: int, t: float, tol: float) -> float:
     lo = 0.25 * tol / d  # f divides by kappa; below lo, mu is 1 within tol/2
     if f(lo) < 0.0:
         return 0.5 * lo  # root below the resolution floor; equivalent to 0 at tol
-    root = brentq(f, lo, hi, xtol=0.5 * tol, rtol=4 * np.finfo(float).eps)
-    return float(root)
+    return brentq(f, lo, hi, xtol=0.5 * tol, rtol=4 * np.finfo(float).eps)
 
 
 def mu_inverse(d: int, t: float, tol: float = 1e-10) -> float:

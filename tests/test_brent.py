@@ -87,18 +87,24 @@ def test_mu_inverse_root_finds_match_scipy(d, twin_brentq):
 # hand-made functions, one per branch
 # ---------------------------------------------------------------------------
 
+# each branch of brentq, by the text of its first statement and which
+# occurrence of that text it is
+_BRANCH_STATEMENTS = {
+    "interpolate": ("stry = -fcur * (xcur - xpre)", 0),
+    "extrapolate": ("dpre = (fpre - fcur)", 0),
+    "good short step": ("scur = stry", 0),
+    "bisect (step rejected)": ("spre = sbis", 0),
+    "bisect (no step tried)": ("spre = sbis", 1),
+    "minimum step": ("delta if sbis > 0", 0),
+}
+
+
 def _branch_lines():
-    """Line number of the statement after each branch comment in brentq."""
+    """Line number of each branch's first statement in brentq."""
     lines, start = inspect.getsourcelines(_brent.brentq)
-    bisects = iter(("bisect (step rejected)", "bisect (no step tried)"))
     marks = {}
-    for i, line in enumerate(lines):
-        text = line.strip()
-        if text.startswith("# "):
-            name = next(bisects) if text == "# bisect" else text[2:]
-            marks[name] = start + i + 1
-    marks["minimum step"] = next(
-        start + i for i, line in enumerate(lines) if "delta if sbis > 0" in line)
+    for name, (text, k) in _BRANCH_STATEMENTS.items():
+        marks[name] = [start + i for i, line in enumerate(lines) if text in line][k]
     return marks
 
 

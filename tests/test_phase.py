@@ -190,13 +190,9 @@ def test_classify_survives_numerical_failure(monkeypatch):
     def boom(*a, **k):
         raise ValueError("synthetic failure")
     monkeypatch.setattr(phase.greens, "green_zero", boom)
-    phase._classify_cached.cache_clear()   # regimes classified earlier are cached
     r = classify(3, 1, 0.1, 0.1)
     assert r.label == "Unresolved"
     assert "synthetic failure" in r.justification
-    # the failure is not cached: the next call computes again
-    monkeypatch.undo()
-    assert classify(3, 1, 0.1, 0.1).label == "PartialIntermittent"
 
 
 # ---------------------------------------------------------------------------
@@ -238,16 +234,31 @@ def test_sweep_d3_crosses_the_transition(tmp_path):
     assert "certified" in rows[1].regime.justification
 
 
-def test_sweep_classifies_once_per_kappa_rho(tmp_path):
+def test_sweep_classifies_once_per_kappa_rho(tmp_path, monkeypatch):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    phase._classify_cached.cache_clear()
     sweep(3, 1, [1, 2], [0.1, 0.3], [0.1], str(a), radii=[1])
-    info = phase._classify_cached.cache_info()
-    assert (info.misses, info.hits) == (2, 2)
-    # a second sweep reads every regime from the cache, to the same bytes
-    sweep(3, 1, [1, 2], [0.1, 0.3], [0.1], str(b), radii=[1])
-    assert phase._classify_cached.cache_info().misses == 2
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return classify(*args)
+
+    monkeypatch.setattr(phase, "classify", counted)
+    sweep(3, 1, [1, 2], [0.1, 0.3], [0.1], str(b), radii=[1], workers=2)
+    assert calls == [(3, 1, 0.1, 0.1), (3, 1, 0.3, 0.1)]
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_sweep_classify_failure_fails_its_rows_only(tmp_path, monkeypatch):
+    def fragile(d, n, kappa, rho):
+        if kappa == 0.3:
+            raise RuntimeError("synthetic classify failure")
+        return classify(d, n, kappa, rho)
+
+    monkeypatch.setattr(phase, "classify", fragile)
+    rows = sweep(3, 1, [1, 2], [0.1, 0.3], [0.1], str(tmp_path / "g.csv"), radii=[1])
+    assert [r.lambda_kind == "failed" for r in rows] == [False, False, True, True]
+    assert all("synthetic classify failure" in r.regime.justification for r in rows[2:])
 
 
 def test_sweep_worker_count_does_not_change_output(tmp_path):

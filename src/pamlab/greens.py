@@ -40,6 +40,7 @@ _green_table alone uses a fixed-node mode: the same horizon and tail midpoint,
 as one flat value per _multisets row (a sorted multiset of |coordinates|);
 _green_box_sums reduces it to the sums spectral.f0_rayleigh needs, and
 green_box_values scatters it over the cube, both through the lookup _rows.
+spectral._quotient builds its frame-box orbits from _multisets too.
 """
 from __future__ import annotations
 
@@ -551,12 +552,14 @@ def _multisets(m: int, radius: int) -> Tuple[np.ndarray, np.ndarray]:
     """Sorted multisets k_1 <= ... <= k_m of {0,...,R} (m >= 1), one row each
     in lexicographic order, built a column at a time, and their orbit sizes
     under the signed axis permutations B_m (the sites of {-R,...,R}^m with
-    those sorted |x_i|): m!/prod(repeats!) * 2^(number of k_i > 0).
+    those sorted |x_i|): m!/prod(repeats!) * 2^(number of k_i > 0).  The
+    second caller, spectral._quotient, reads the rows as frame sites.
 
     The orbit sizes sum to (2R+1)^m, which must stay below 2^63 (it also
     bounds the base-(R+1) codes of _rows).  The multinomial is the running
-    product over v of C(c_0+...+c_v, c_v), c_v the repeats of v; each
-    partial product divides the orbit size, so none overflows int64.
+    product over v of C(c_0+...+c_v, c_v), c_v the repeats of v, each read
+    where the run of v's ends; each partial product divides the orbit size,
+    so none overflows int64.
     """
     if math.comb(radius + m, m) > MAX_SITES or (2 * radius + 1) ** m >= 2 ** 63:
         raise CapacityError(f"multisets of {m} values in 0..{radius} exceed the table budget")
@@ -573,11 +576,12 @@ def _multisets(m: int, radius: int) -> Tuple[np.ndarray, np.ndarray]:
     for n in range(m + 1):
         comb[n, :n + 1] = [min(math.comb(n, k), cap) for k in range(n + 1)]
     mult = np.ones(len(keys), dtype=np.int64)
-    seen = np.zeros(len(keys), dtype=np.int64)
-    for v in range(radius + 1):
-        c = np.count_nonzero(keys == v, axis=1)
-        seen += c
-        mult *= comb[seen, c]
+    run = np.zeros(len(keys), dtype=np.int64)
+    # the run of v's ends at column s_v - 1, s_v = c_0+...+c_v
+    for j, end in enumerate((np.diff(keys, axis=1, append=radius + 1) != 0).T):
+        run += 1
+        mult[end] *= comb[j + 1, run[end]]
+        run[end] = 0
     return keys, mult << np.count_nonzero(keys, axis=1)
 
 

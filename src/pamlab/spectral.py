@@ -41,7 +41,9 @@ box at d=3, p=2, n=1, R=1).  For f = sum_O c_O e_O, ||f|| = ||c||,
 <f, H_0 f> = <c, Q c> and ||H_0 f - theta f|| = ||Q c - theta c||, so a
 quotient Ritz value is a Rayleigh quotient of H_0, a certified lower bound
 with the same residual certificate.  The orbits and the hop counts between
-them depend only on (d, p, n, radius) and are built once per box shape.
+them depend only on (d, p, n, radius) and are built once per box shape, with
+no site loop: up to B_d a frame site is the sorted multiset of its d axis
+columns taken up to sign, which greens._multisets enumerates.
 
 top_eigen keeps the full operator: it is the small-box oracle, the base of
 tensor_gap, and the route on which the swap symmetry
@@ -320,19 +322,6 @@ def _apply_flat(params: PamParams, box: Box, v: np.ndarray,
 # the frame operator on its symmetric sector
 # ---------------------------------------------------------------------------
 
-# Sites canonicalised per batch while counting orbits: bounds the temporary
-# arrays of a large box to a few tens of megabytes; the counts are kept per
-# orbit, never per site.
-_CHUNK_SITES = 1 << 18
-
-
-def _site_coords(flat: np.ndarray, d: int, blocks: int, radius: int) -> np.ndarray:
-    """Coordinates, shaped (sites, blocks, d), of flat box indices."""
-    L = 2 * radius + 1
-    digits = np.unravel_index(flat, (L,) * (blocks * d), order="F")
-    return np.stack(digits, axis=1).reshape(-1, blocks, d) - radius
-
-
 def _orbit_keys(z: np.ndarray, p: int, radius: int) -> np.ndarray:
     """A label of each site's orbit under S_p x S_{n-1} x B_d.
 
@@ -363,13 +352,6 @@ def _orbit_keys(z: np.ndarray, p: int, radius: int) -> np.ndarray:
     return key
 
 
-def _orbit_sites(keys: np.ndarray, d: int, blocks: int, radius: int) -> np.ndarray:
-    """The site each _orbit_keys label encodes, shaped (sites, blocks, d)."""
-    L = 2 * radius + 1
-    digits = np.stack(np.unravel_index(keys, (L,) * (blocks * d)), axis=1)
-    return digits.reshape(-1, d, blocks).transpose(0, 2, 1) - radius
-
-
 class _Quotient(NamedTuple):
     """The frame operator's parts on the orbit basis e_O = 1_O / sqrt|O|.
 
@@ -389,22 +371,23 @@ class _Quotient(NamedTuple):
 def _quotient(d: int, p: int, n: int, radius: int) -> _Quotient:
     """Orbits of the radius frame box and the operator's parts between them.
 
-    Every site is labelled once to count the orbit sizes; the hops are then
-    read off one representative per orbit, since the number of neighbours of
-    x in O' is the same for every x in O.
+    A site is d columns, each coding one axis in every block base
+    L = 2*radius+1 as in _orbit_keys.  greens._multisets(d, half) lists its
+    B_d-orbits with their sizes, value v the column coded half + v, and
+    _orbit_keys merges them into orbits of G.  The hops are read off one
+    representative per orbit: x in O has as many neighbours in O' as x_O.
     """
     blocks = p + n - 1
-    size = build_box(d * blocks, radius).size
-    labels, sizes = [], []
-    for lo in range(0, size, _CHUNK_SITES):
-        flat = np.arange(lo, min(lo + _CHUNK_SITES, size))
-        keys, hits = np.unique(_orbit_keys(_site_coords(flat, d, blocks, radius), p, radius),
-                               return_counts=True)
-        labels.append(keys)
-        sizes.append(hits)
-    labels, which = np.unique(np.concatenate(labels), return_inverse=True)
-    sizes = np.bincount(which, weights=np.concatenate(sizes)).astype(np.int64)
-    z = _orbit_sites(labels, d, blocks, radius)
+    build_box(d * blocks, radius)    # the frame box must stay within lattice.MAX_SITES
+    L = 2 * radius + 1
+    half = (L ** blocks - 1) // 2
+    cols, mult = greens._multisets(d, half)
+    place = L ** np.arange(blocks - 1, -1, -1)      # block 0 is the leading digit
+    reps = (half + cols)[:, None, :] // place[:, None] % L - radius
+    labels, first, which = np.unique(_orbit_keys(reps, p, radius),
+                                     return_index=True, return_inverse=True)
+    sizes = np.bincount(which, weights=mult).astype(np.int64)
+    z = reps[first]
 
     walkers = z[:, :p, None, :]
     others = np.concatenate((np.zeros_like(z[:, :1]), z[:, p:]), axis=1)[:, None]
@@ -437,8 +420,7 @@ def _quotient(d: int, p: int, n: int, radius: int) -> _Quotient:
     kappa_hops = hops([unit([(j, i)]) for j in range(p) for i in range(d)])
     rho_hops = hops([unit([(k, i)]) for k in range(p, blocks) for i in range(d)]
                     + [unit([(b, i) for b in range(blocks)]) for i in range(d)])
-    center = int(labels.searchsorted(
-        _orbit_keys(np.zeros((1, blocks, d), dtype=np.int64), p, radius)[0]))
+    center = int(which[0])    # row 0, the all-zero multiset, is the site z = 0
     return _Quotient(sizes, collisions, kappa_hops, rho_hops, center)
 
 
@@ -602,7 +584,9 @@ def lambda_spectral(params: PamParams, radii: Sequence[int],
     the full radius-R box value.  Values are non-decreasing in R (nested
     admissible sets) and each is a certified lower bound; the final entry's
     ``converged`` flag records whether the last increment fell below tol,
-    which is also each solve's residual target.
+    which is also each solve's residual target.  If a solve fails below an
+    earlier radius's converged value, its ConvergenceError carries that
+    larger proven bound as best, marked unconverged.
     """
     radii = list(radii)
     if not radii:
@@ -613,7 +597,17 @@ def lambda_spectral(params: PamParams, radii: Sequence[int],
         raise ValueError(f"box radius must be >= 0, got R={radii[0]}")
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be finite and > 0, got {tol}")
-    out = [_quotient_top(params, R, tol) for R in radii]
+    out = []
+    for R in radii:
+        try:
+            out.append(_quotient_top(params, R, tol))
+        except ConvergenceError as exc:
+            prev = max(out, key=lambda e: e.value, default=exc.best)
+            if prev.value <= exc.best.value:
+                raise
+            raise ConvergenceError(
+                f"{exc} at R={R}; R={prev.radius} converged to the larger bound "
+                f"{prev.value:.12g}", replace(prev, converged=False), exc.residual) from exc
     if len(out) >= 2:
         settled = abs(out[-1].value - out[-2].value) < tol
         out[-1] = replace(out[-1], converged=settled)

@@ -7,6 +7,7 @@ reduction for the cube constants, and scipy's adaptive quadrature as an
 unrelated integrator.
 """
 import math
+from collections import Counter
 from itertools import combinations_with_replacement, product
 
 import mpmath as mp
@@ -504,6 +505,20 @@ def test_multisets_enumerate_sorted_keys_in_order(m, R):
     assert int(mult.sum()) == (2 * R + 1) ** m
     # the lookup maps every row to its own index
     assert np.array_equal(greens._rows(keys, R, keys), np.arange(len(keys)))
+
+
+@pytest.mark.parametrize("m, R", [(1, 8320), (3, 40), (21, 1)])
+def test_multiset_orbit_sizes_are_the_closed_form(m, R):
+    # m!/prod(repeats!) * 2^(number of nonzero values), in Python ints;
+    # (1, 8320) is the frame-column shape of a d=1, p=2, R=32 spectral box
+    keys, mult = greens._multisets(m, R)
+    want = []
+    for row in keys.tolist():
+        size = math.factorial(m)
+        for repeats in Counter(row).values():
+            size //= math.factorial(repeats)
+        want.append(size << sum(1 for k in row if k))
+    assert mult.tolist() == want
 
 
 def test_multisets_refuse_an_oversized_table():

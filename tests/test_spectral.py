@@ -4,7 +4,8 @@ Oracles: the d=1 closed form mu = -2k + sqrt(4k^2+1) (re-derived here from
 the explicit resolvent integral), the nested root-find route to mu_inverse,
 a naive site-by-site implementation of the operator, dense diagonalization
 on tiny boxes, the brute-force minimum over the symmetry group for the orbit
-labels, and the whole catalyst-frame box for its symmetric sector.
+labels, the labelling of every frame-box site for the enumerated orbits, and
+the whole catalyst-frame box for its symmetric sector.
 """
 import itertools
 import math
@@ -19,7 +20,7 @@ from scipy.integrate import quad
 from scipy.optimize import brentq
 from scipy.sparse.linalg import eigsh
 
-from pamlab import greens, spectral
+from pamlab import greens, phase, spectral
 from pamlab.lattice import (
     Box,
     CapacityError,
@@ -45,10 +46,8 @@ from pamlab.spectral import (
 from pamlab.spectral import (
     _apply_flat,
     _orbit_keys,
-    _orbit_sites,
     _quotient,
     _quotient_top,
-    _site_coords,
 )
 
 from lattice_helpers import box_site, delta_field
@@ -122,6 +121,20 @@ def naive_frame_apply(params: PamParams, box: Box, vec: np.ndarray) -> np.ndarra
     return out
 
 
+def site_coords(flat: np.ndarray, d: int, blocks: int, radius: int) -> np.ndarray:
+    """Coordinates, shaped (sites, blocks, d), of flat frame-box indices."""
+    L = 2 * radius + 1
+    digits = np.unravel_index(flat, (L,) * (blocks * d), order="F")
+    return np.stack(digits, axis=1).reshape(-1, blocks, d) - radius
+
+
+def frame_collisions(z: np.ndarray, p: int) -> np.ndarray:
+    """I_p at frame sites z: the walkers that sit on catalyst 1 (z = 0) or
+    on a catalyst k >= 2."""
+    others = np.concatenate((np.zeros_like(z[:, :1]), z[:, p:]), axis=1)
+    return (z[:, :p, None, :] == others[:, None]).all(axis=3).sum(axis=(1, 2))
+
+
 def frame_matrix(params: PamParams, radius: int) -> sparse.csr_matrix:
     """The operator H_0 in the frame of catalyst 1 on the frame box of this
     radius, as a sparse matrix over F-order site indices.
@@ -148,9 +161,7 @@ def frame_matrix(params: PamParams, radius: int) -> sparse.csr_matrix:
         H = H + (params.kappa if a < d * p else params.rho) * hop({a})
     for i in range(d):
         H = H + params.rho * hop(set(range(i, m, d)))
-    z = _site_coords(np.arange(L ** m), d, blocks, radius)
-    others = np.concatenate((np.zeros_like(z[:, :1]), z[:, p:]), axis=1)
-    collisions = (z[:, :p, None, :] == others[:, None]).all(axis=3).sum(axis=(1, 2))
+    collisions = frame_collisions(site_coords(np.arange(L ** m), d, blocks, radius), p)
     return (H + sparse.diags(collisions.astype(np.float64))).tocsr()
 
 
@@ -596,6 +607,22 @@ def test_arpack_failure_reports_the_start_vector(monkeypatch):
     assert exc.value.residual == pytest.approx(np.linalg.norm(Av - theta * v0), rel=1e-12)
 
 
+def test_failed_radius_reports_the_largest_converged_bound(monkeypatch):
+    # R=100 has 201 orbits and is solved densely; R=400 has 801 and goes to
+    # the starved ARPACK, whose start vector is a far worse bound
+    params = PamParams(d=1, n=1, p=1, kappa=0.25, rho=0.25)
+    want = lambda_spectral(params, [100])[-1]
+    starve_arpack(monkeypatch)
+    with pytest.raises(ConvergenceError) as exc:
+        lambda_spectral(params, [100, 400])
+    best = exc.value.best
+    assert (best.radius, best.value, best.converged) == (100, want.value, False)
+    assert exc.value.residual > 1e-8 and "R=100 converged" in str(exc.value)
+    row = phase._row_job((1, 1, 1, 0.25, 0.25, [100, 400], 1e-8,
+                          phase.Regime("NotIntermittent", "")))
+    assert (row.lambda_est, row.lambda_kind) == (want.value, "spectral(R=100,unconverged)")
+
+
 @pytest.mark.parametrize("bad", [
     dict(tol=0.0), dict(tol=-1.0), dict(tol=math.inf), dict(tol=math.nan)])
 def test_solver_options_validation(bad):
@@ -610,7 +637,8 @@ def test_solver_options_validation(bad):
 
 @pytest.mark.parametrize("tol", [0.0, math.nan, math.inf])
 def test_lambda_spectral_checks_tol_before_labelling(monkeypatch, tol):
-    # d=3, p=2, R=2: labelling the first frame box alone takes a visible time
+    # a bad tol must be refused before any work: building the orbits of the
+    # first frame box (_quotient) is the first thing a solve does
     def no_labelling(*args):
         raise AssertionError("tol reached the orbit labelling")
 
@@ -673,15 +701,12 @@ def test_orbit_keys_are_the_brute_force_minimum(d, p, n):
         z = rng.integers(-radius, radius + 1, size=(40, blocks, d))
         keys = _orbit_keys(z, p, radius)
         assert np.array_equal(keys, brute_force_keys(z, p, radius))
-        # the site a label encodes lies in the labelled orbit
-        back = _orbit_sites(keys, d, blocks, radius)
-        assert np.array_equal(_orbit_keys(back, p, radius), keys)
 
 
 def test_site_coords_match_box_sites():
     box = build_box(6, 1)
     flat = np.array([0, 5, 100, box.size - 1])
-    z = _site_coords(flat, 2, 3, 1)
+    z = site_coords(flat, 2, 3, 1)
     assert [tuple(row.reshape(-1)) for row in z] == [box_site(box, int(i)) for i in flat]
 
 
@@ -692,6 +717,57 @@ def test_orbit_sizes_sum_to_the_site_count(d, p, n, radius):
     q = _quotient(d, p, n, radius)
     assert q.sizes.sum() == (2 * radius + 1) ** (d * (p + n - 1))
     assert q.sizes[q.center] == 1          # z = 0 is fixed by the whole group
+
+
+def labelled_quotient(d, p, n, radius):
+    """The all-sites oracle for _quotient: every site of the frame box is
+    labelled by _orbit_keys and the orbit sizes are counted; the hop counts
+    between orbits are P^T A P, summed over every site, with P the
+    site-orbit incidence and A the walker or the catalyst adjacency of
+    frame_matrix."""
+    blocks = p + n - 1
+    z = site_coords(np.arange((2 * radius + 1) ** (d * blocks)), d, blocks, radius)
+    _, first, orbit = np.unique(_orbit_keys(z, p, radius),
+                                return_index=True, return_inverse=True)
+    sizes = np.bincount(orbit)
+    P = sparse.csr_matrix((np.ones(len(z)), (np.arange(len(z)), orbit)))
+
+    def hops(kappa, rho):
+        A = frame_matrix(PamParams(d=d, n=n, p=p, kappa=kappa, rho=rho), radius)
+        A.setdiag(0.0)
+        A.eliminate_zeros()
+        counted = (P.T @ A @ P).tocoo()
+        counted.data /= np.sqrt(sizes[counted.row] * sizes[counted.col])
+        out = counted.tocsr()
+        out.sort_indices()
+        return out
+
+    collisions = frame_collisions(z[first], p).astype(np.float64)
+    center = int(orbit[(len(z) - 1) // 2])      # the middle F-order index is z = 0
+    return sizes, collisions, hops(1.0, 0.0), hops(0.0, 1.0), center
+
+
+@pytest.mark.parametrize("d,p,n,radius", [(1, 2, 1, 64), (3, 2, 1, 4), (2, 2, 2, 2),
+                                          (3, 1, 2, 2), (1, 1, 1, 0), (2, 3, 1, 1),
+                                          (3, 2, 2, 1), (1, 1, 3, 3)])
+def test_quotient_is_the_all_sites_labelling(d, p, n, radius):
+    # (1, 2, 1, 64) has 8,321 multisets: decoding them must not go through
+    # np.unravel_index on an (N, 1) array, wrong past row 8,192 on numpy 2.4.6
+    q = _quotient(d, p, n, radius)
+    sizes, collisions, kappa_hops, rho_hops, center = labelled_quotient(d, p, n, radius)
+    assert np.array_equal(q.sizes, sizes) and np.array_equal(q.collisions, collisions)
+    assert q.center == center
+    for got, want in ((q.kappa_hops, kappa_hops), (q.rho_hops, rho_hops)):
+        assert np.array_equal(got.indptr, want.indptr)
+        assert np.array_equal(got.indices, want.indices)
+        assert np.array_equal(got.data, want.data)
+
+
+def test_quotient_keeps_the_frame_box_cap():
+    # d=3, p=2, R=4: the radius-8 frame box has 17^6 = 24M sites, over
+    # lattice.MAX_SITES, though it has only about 0.25M orbits
+    with pytest.raises(CapacityError):
+        lambda_spectral(PamParams(3, 1, 2, 0.1, 0.1), [4])
 
 
 def test_orbit_counts():
@@ -707,7 +783,7 @@ def lifted(q, d, p, n, radius, c):
     """The frame-box function sum_O c_O 1_O / sqrt|O| of orbit coefficients c."""
     blocks = p + n - 1
     flat = np.arange((2 * radius + 1) ** (d * blocks))
-    keys = _orbit_keys(_site_coords(flat, d, blocks, radius), p, radius)
+    keys = _orbit_keys(site_coords(flat, d, blocks, radius), p, radius)
     labels = np.flatnonzero(np.bincount(keys))
     orbit = labels.searchsorted(keys)
     return c[orbit] / np.sqrt(q.sizes[orbit])

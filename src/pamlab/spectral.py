@@ -66,6 +66,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 from scipy import sparse
+from scipy.linalg import eigh
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
 from . import greens
@@ -307,14 +308,18 @@ def apply_generator(params: PamParams, f: Field) -> Field:
 
 def _apply_flat(params: PamParams, box: Box, v: np.ndarray,
                 shift: float = 0.0) -> np.ndarray:
-    """L_p v (+ shift v) on the full box, with v flat in F order."""
+    """L_p v (+ shift v) on the full box, with v flat in F order, or L_p
+    applied to each column of a (sites, k) block v; every column's result
+    is the same to the last bit as applying L_p to that column alone."""
     ip = _collision_counts(params.d, params.p, params.n, box.radius)
+    if v.ndim == 2:
+        ip = ip[:, None]
     out = (ip + shift) * v if shift else ip * v
-    g = v.reshape(box.shape, order="F")
+    g = v.reshape(box.shape + v.shape[1:], order="F")
     walkers = params.d * params.p    # the axes of x_1..x_p come first
     for rate, axes in ((params.kappa, range(walkers)), (params.rho, range(walkers, box.m))):
         if rate:
-            out += rate * lap_grid(g, axes).reshape(-1, order="F")
+            out += rate * lap_grid(g, axes).reshape(v.shape, order="F")
     return out
 
 
@@ -444,7 +449,8 @@ def _start_vector(box: Box) -> np.ndarray:
 
 
 # At most this many unknowns (orbits for lambda_spectral, sites for
-# top_eigen) are diagonalized densely; larger problems go to ARPACK.
+# top_eigen) are solved densely, on the assembled matrix; larger problems
+# go to ARPACK.
 _DENSE_CUTOFF = 600
 
 # ARPACK's Lanczos basis size (ncv) and restart count (maxiter): the former
@@ -455,25 +461,25 @@ _NCV = 40
 _MAXITER = 20
 
 
-def _top_pair(matvec, v0: np.ndarray, tol: float, scale: float) -> _Solution:
-    """Top eigenpair of the symmetric operator matvec, densely at most
-    _DENSE_CUTOFF unknowns, else by _krylov_top from v0; converged means
-    residual ||A v - theta v||_2 <= tol.  scale bounds ||A||."""
+def _top_pair(A, v0: np.ndarray, tol: float, scale: float) -> _Solution:
+    """Top eigenpair of the symmetric operator A (a sparse matrix or a
+    LinearOperator); converged means residual ||A v - theta v||_2 <= tol,
+    and scale bounds ||A||.
+
+    At most _DENSE_CUTOFF unknowns, A is assembled in one product A @ I and
+    LAPACK's MRRR driver (syevr) computes its top eigenpair alone, at the
+    cost of size + 1 operator applications; larger problems go to
+    _krylov_top from v0.
+    """
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be finite and > 0, got {tol}")
     size = v0.size
     if size > _DENSE_CUTOFF:
-        return _krylov_top(matvec, v0, tol, scale)
-    A = np.empty((size, size))
-    e = np.zeros(size)
-    for i in range(size):
-        e[i] = 1.0
-        A[:, i] = matvec(e)
-        e[i] = 0.0
-    w, V = np.linalg.eigh(A)
-    theta = float(w[-1])
-    vec = V[:, -1]
-    res = float(np.linalg.norm(matvec(vec) - theta * vec))
+        return _krylov_top(A.dot, v0, tol, scale)
+    w, V = eigh(A.dot(np.eye(size)), subset_by_index=[size - 1, size - 1])
+    theta = float(w[0])
+    vec = V[:, 0]
+    res = float(np.linalg.norm(A.dot(vec) - theta * vec))
     return _Solution(theta, vec, res, res <= tol, "dense", size + 1)
 
 
@@ -529,7 +535,7 @@ def _certified(params: PamParams, R: int, shift: float, sol: _Solution,
                            converged=sol.converged, solver=sol.solver,
                            dim=sol.vec.size, matvecs=sol.matvecs)
     if not sol.converged:
-        how = ("by dense diagonalization" if sol.solver == "dense"
+        how = ("by the dense top-eigenpair solve" if sol.solver == "dense"
                else f"after {sol.matvecs} operator applications")
         raise ConvergenceError(
             f"eigensolver did not reach residual {tol:g} {how} "
@@ -553,8 +559,9 @@ def _top_eigen_vec(params: PamParams, R: int, tol: float) -> tuple[LyapunovEstim
     """Top eigenpair of L_p on the full radius-R box."""
     box = build_box(params.m, R)
     shift = _shift(params)
-    sol = _top_pair(lambda v: _apply_flat(params, box, v, shift), _start_vector(box), tol,
-                    _scale(params, shift))
+    apply = lambda v: _apply_flat(params, box, v, shift)
+    A = LinearOperator((box.size, box.size), matvec=apply, matmat=apply, dtype=np.float64)
+    sol = _top_pair(A, _start_vector(box), tol, _scale(params, shift))
     return _certified(params, R, shift, sol, tol), sol.vec
 
 
@@ -571,7 +578,7 @@ def _quotient_top(params: PamParams, R: int, tol: float) -> LyapunovEstimate:
     # the start vector of the full frame box, projected on the orbit basis
     v0 = 1e-3 * np.sqrt(q.sizes)
     v0[q.center] += 1.0
-    sol = _top_pair(Q.dot, v0 / np.linalg.norm(v0), tol, _scale(params, shift))
+    sol = _top_pair(Q, v0 / np.linalg.norm(v0), tol, _scale(params, shift))
     return _certified(params, R, shift, sol, tol)
 
 

@@ -3,7 +3,8 @@
 Oracles: the d=1 closed form mu = -2k + sqrt(4k^2+1) (re-derived here from
 the explicit resolvent integral), the nested root-find route to mu_inverse,
 a naive site-by-site implementation of the operator, dense diagonalization
-on tiny boxes, the brute-force minimum over the symmetry group for the orbit
+on tiny boxes, the column-by-column matrix and its full spectrum for the
+dense top-pair solve, the brute-force minimum over the symmetry group for the orbit
 labels, the labelling of every frame-box site for the enumerated orbits, and
 the whole catalyst-frame box for its symmetric sector.
 """
@@ -668,6 +669,73 @@ def test_krylov_solves_are_pinned(solve, want):
     est = solve()
     assert est.converged
     assert (est.value, est.error, est.solver, est.dim, est.matvecs) == want
+
+
+# (value, error, solver, dim, matvecs) of three dense solves: the matrix
+# assembled in one product, its top pair from LAPACK's syevr.  Any change to
+# the dense path's assembly or driver shows here.  These are the same with
+# 1, 2 and 4 OpenBLAS threads; from 255 unknowns up, syevr's last bits
+# depend on the BLAS thread count, so no larger solve is pinned.
+DENSE_PINS = [
+    (lambda: top_eigen(PamParams(1, 1, 1, 0.25, 0.25), 4),
+     (0.4025334051708924, 1.1035698315042386e-15, "dense", 81, 82)),
+    (lambda: lambda_spectral(PamParams(2, 1, 1, 0.25, 0.2), [6])[-1],
+     (0.04738067542543423, 1.2593339183767098e-15, "dense", 91, 92)),
+    (lambda: lambda_spectral(PamParams(1, 1, 1, 0.25, 0.25), [100])[-1],
+     (0.4142135623730945, 5.102928256283809e-16, "dense", 201, 202)),
+]
+
+
+@pytest.mark.parametrize("solve,want", DENSE_PINS,
+                         ids=["top_eigen-81-sites", "quotient-91-orbits",
+                              "quotient-201-orbits"])
+def test_dense_solves_are_pinned(solve, want):
+    est = solve()
+    assert est.converged
+    assert (est.value, est.error, est.solver, est.dim, est.matvecs) == want
+
+
+@pytest.mark.parametrize("solve,size", [
+    (lambda tol: lambda_spectral(PamParams(1, 1, 1, 0.25, 0.25), [12], tol)[-1], 25),
+    (lambda tol: lambda_spectral(PamParams(2, 1, 1, 0.25, 0.2), [6], tol)[-1], 91),
+    (lambda tol: lambda_spectral(PamParams(1, 1, 1, 0.25, 0.25), [100], tol)[-1], 201),
+    (lambda tol: lambda_spectral(PamParams(3, 1, 2, 0.05, 0.1), [1], tol)[-1], 255),
+    (lambda tol: lambda_spectral(PamParams(1, 1, 2, 0.25, 0.25), [8], tol)[-1], 289),
+    (lambda tol: lambda_spectral(PamParams(2, 1, 2, 0.1, 0.2), [2], tol)[-1], 461),
+    (lambda tol: top_eigen(PamParams(1, 1, 2, 0.25, 0.25), 3, tol), 343),
+], ids=["quotient-25", "quotient-91", "quotient-201", "quotient-255", "quotient-289",
+        "quotient-461", "top_eigen-343-sites"])
+def test_dense_route_matches_the_full_spectrum(monkeypatch, solve, size):
+    # the oracle is the route the dense path replaced: the matrix assembled
+    # one unit vector at a time, and its whole spectrum from np.linalg.eigh
+    seen = {}
+    top_pair, dense_eigh = spectral._top_pair, spectral.eigh
+
+    def spy_top_pair(A, *args):
+        seen["operator"] = A
+        return top_pair(A, *args)
+
+    def spy_eigh(M, **kwargs):
+        seen["matrix"] = M.copy()
+        return dense_eigh(M, **kwargs)
+
+    monkeypatch.setattr(spectral, "_top_pair", spy_top_pair)
+    monkeypatch.setattr(spectral, "eigh", spy_eigh)
+    tol = 1e-10
+    est = solve(tol)
+    A = seen["operator"]
+    loop = np.empty((size, size))
+    e = np.zeros(size)
+    for i in range(size):
+        e[i] = 1.0
+        loop[:, i] = A.dot(e)
+        e[i] = 0.0
+    assert np.array_equal(seen["matrix"], loop)
+    p = est.params.p
+    want = (np.linalg.eigh(loop)[0][-1] - spectral._shift(est.params)) / p
+    assert (est.solver, est.dim, est.converged) == ("dense", size, True)
+    assert abs(est.value - want) <= 1e-13
+    assert est.error * p <= tol
 
 
 # ---------------------------------------------------------------------------

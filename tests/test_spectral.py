@@ -4,9 +4,9 @@ Oracles: the d=1 closed form mu = -2k + sqrt(4k^2+1) (re-derived here from
 the explicit resolvent integral), the nested root-find route to mu_inverse,
 a naive site-by-site implementation of the operator, dense diagonalization
 on tiny boxes, the column-by-column matrix and its full spectrum for the
-dense top-pair solve, the brute-force minimum over the symmetry group for the orbit
-labels, the labelling of every frame-box site for the enumerated orbits, and
-the whole catalyst-frame box for its symmetric sector.
+dense top-pair solve, the brute-force minimum over the symmetry group for
+the orbit labels, the labelling of every frame-box site for the enumerated
+orbits, and the whole catalyst-frame box for its symmetric sector.
 """
 import itertools
 import math

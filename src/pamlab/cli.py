@@ -270,8 +270,7 @@ def cmd_phase(cfg: dict) -> CommandResult:
     if not cfg.get("out"):
         raise CliParamError("phase sweeps write CSV and require --out")
     rows = sweep(cfg["d"], cfg["n"], cfg["p_values"], kappas, rhos, cfg["out"],
-                 radii=cfg["radii"], tol=cfg["tol"], workers=cfg["workers"],
-                 resume=cfg["resume"])
+                 radii=cfg["radii"], tol=cfg["tol"], resume=cfg["resume"])
     payload = {"out": cfg["out"], "rows_written": len(rows),
                "header": list(PHASE_CSV_HEADER)}
     return CommandResult(payload=payload,
@@ -337,7 +336,7 @@ _COMMANDS: dict[str, tuple[Callable[[dict], CommandResult], str,
               [("d", True, None), ("n", True, None), ("kappa", False, None),
                ("rho", False, None), ("tol", False, 1e-8), ("p_values", False, [1, 2]),
                ("kappas", False, None), ("rhos", False, None), ("radii", False, None),
-               ("workers", False, 1), ("resume", False, False)]),
+               ("resume", False, False)]),
     "check-gn": (cmd_check_gn, "Gagliardo-Nirenberg inequality on random fields",
                  [("d", True, None), ("radius", False, 6), ("samples", False, 1000),
                   ("seed", False, None)]),
@@ -400,8 +399,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         cfg = _merge_config(args)
         if args.out is not None:
             cfg["out"] = args.out
-        elif args.command == "phase" and "out" not in cfg:
-            cfg["out"] = None
         result = _COMMANDS[args.command][0](cfg)
         _emit(args.command, cfg, result, fmt, args.out)
     except (ConvergenceError, ArithmeticError) as exc:

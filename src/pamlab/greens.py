@@ -629,7 +629,8 @@ def _green_box_sums(d: int, radius: int, tol: float) -> Tuple[float, float, floa
     """
     keys, mult = _multisets(d, radius)
     g = _green_table(keys, radius, tol)
-    sq = float(np.dot(mult, g * g))
+    # exactly rounded sums: a BLAS dot splits long ones by thread count
+    sq = math.fsum(mult * (g * g))
     rest, mult_rest = _multisets(d - 1, radius)
     lines = np.empty((len(rest), radius + 1, d), dtype=np.int64)
     lines[:, :, 0] = np.arange(radius + 1)
@@ -637,7 +638,7 @@ def _green_box_sums(d: int, radius: int, tol: float) -> Tuple[float, float, floa
     lines.sort(axis=2)
     h = g[_rows(keys, radius, lines)]
     per_line = 2.0 * np.sum(np.diff(h, axis=1) ** 2, axis=1) + 2.0 * h[:, radius] ** 2
-    return float(g[0]), sq, d * float(np.dot(mult_rest, per_line))
+    return float(g[0]), sq, d * math.fsum(mult_rest * per_line)
 
 
 def green_box_values(d: int, radius: int, tol: float = 1e-9) -> np.ndarray:

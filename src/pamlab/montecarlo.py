@@ -357,14 +357,11 @@ def pde_moment_oracle(params: PamParams, R: int, t: float,
     L = box.side
     lap1 = sparse.diags([np.ones(L - 1), -2.0 * np.ones(L), np.ones(L - 1)],
                         offsets=[-1, 0, 1], format="csr")
-    eye = sparse.identity(L, format="csr")
-    lap = sparse.csr_matrix((box.size, box.size))
-    for axis in range(d):
-        term = sparse.identity(1, format="csr")
-        # coordinate 1 is the fastest index, so it is the innermost kron factor
-        for j in range(d):
-            term = sparse.kron(lap1 if j == axis else eye, term, format="csr")
-        lap = lap + term
+    # kronsum(A, B) = I (x) A + B (x) I adds B as the new slowest index, so
+    # coordinate 1, the fastest, is the first factor
+    lap = lap1
+    for _ in range(d - 1):
+        lap = sparse.kronsum(lap, lap1, format="csr")
 
     cuts = {0.0, t}
     for path in catalyst_paths:

@@ -28,7 +28,6 @@ import hashlib
 import json
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -279,8 +278,7 @@ def _resume_offset(cursor_path: str, out: str, digest: str) -> tuple[int, int]:
 
 def sweep(d: int, n: int, p_values: Sequence[int], kappas: Sequence[float],
           rhos: Sequence[float], out: str, *, radii: Sequence[int] | None = None,
-          tol: float = 1e-8, workers: int = 1,
-          resume: bool = False) -> list[PhaseRow]:
+          tol: float = 1e-8, resume: bool = False) -> list[PhaseRow]:
     """Evaluate the (kappa, rho, p) grid into a CSV at ``out``.
 
     Rows are ordered by (kappa, rho, p); failures are isolated per row
@@ -289,8 +287,7 @@ def sweep(d: int, n: int, p_values: Sequence[int], kappas: Sequence[float],
     byte length at that point; with resume=True a matching interrupted sweep
     cuts the CSV back to that length and continues after its last recorded
     row, so the finished file equals an uninterrupted sweep's.  An unreadable
-    cursor starts a fresh sweep.  Worker processes split rows; the file is
-    written in grid order regardless of completion order.
+    cursor starts a fresh sweep.
     """
     if d < 1 or n < 1:
         raise ValueError(f"d and n must be positive, got d={d}, n={n}")
@@ -306,8 +303,6 @@ def sweep(d: int, n: int, p_values: Sequence[int], kappas: Sequence[float],
             raise ValueError(f"{name} must be finite and >= 0, got {list(vals)}")
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be finite and > 0, got {tol}")
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
     jobs = [(d, n, int(p), float(k), float(r), tuple(radii) if radii else None, tol)
             for k in kappas for r in rhos for p in p_values]
     digest = _grid_digest(jobs)
@@ -326,27 +321,15 @@ def sweep(d: int, n: int, p_values: Sequence[int], kappas: Sequence[float],
         # the regime does not depend on p: classify once per (kappa, rho)
         regimes = {kr: _classify_or_error(d, n, *kr)
                    for kr in dict.fromkeys(job[3:5] for job in jobs[done:])}
-        pending = [job + (regimes[job[3:5]],) for job in jobs[done:]]
-        if workers > 1 and len(pending) > 1:
-            pool = ProcessPoolExecutor(max_workers=workers)
-            futures = [pool.submit(_safe_row_job, job) for job in pending]
-            results = (f.result() for f in futures)
-        else:
-            pool = None
-            results = map(_safe_row_job, pending)
-        try:
-            for row in results:
-                rows.append(row)
-                writer.writerow(row.csv_fields())
-                fh.flush()
-                done += 1
-                offset = os.fstat(fh.fileno()).st_size
-                write_atomic(cursor_path, json.dumps(
-                    {"grid": digest, "rows_done": done, "offset": offset}))
-        finally:
-            # after an error or interrupt, drop the rows not yet started
-            if pool is not None:
-                pool.shutdown(cancel_futures=True)
+        for job in jobs[done:]:
+            row = _safe_row_job(job + (regimes[job[3:5]],))
+            rows.append(row)
+            writer.writerow(row.csv_fields())
+            fh.flush()
+            done += 1
+            offset = os.fstat(fh.fileno()).st_size
+            write_atomic(cursor_path, json.dumps(
+                {"grid": digest, "rows_done": done, "offset": offset}))
     if os.path.exists(cursor_path) and done == len(jobs):
         os.remove(cursor_path)
     return rows

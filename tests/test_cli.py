@@ -255,6 +255,34 @@ def test_phase_requires_some_kappa(capsys, tmp_path):
     assert code == 2 and "--kappa or --kappas" in err
 
 
+def test_phase_has_no_workers_flag(capsys, tmp_path):
+    out = tmp_path / "g.csv"
+    with pytest.raises(SystemExit) as exc:
+        main(["phase", "--d", "1", "--n", "1", "--kappa", "0.1", "--rho", "0.1",
+              "--radii", "1", "--workers", "2", "--out", str(out)])
+    assert exc.value.code == 2
+    assert not out.exists()
+
+
+def test_phase_manifest_with_workers_key_still_loads(capsys, tmp_path):
+    # manifests written while phase had --workers carry the key; it is ignored
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    code, _, _ = run(capsys, "phase", "--d", "1", "--n", "1", "--p-values", "1",
+                     "--kappa", "0.1", "--rho", "0.25", "--radii", "1",
+                     "--out", str(a))
+    assert code == 0
+    sidecar = tmp_path / "a.csv.manifest.json"
+    manifest = json.loads(sidecar.read_text())
+    assert "workers" not in manifest["params"]
+    manifest["params"]["workers"] = 2
+    old = tmp_path / "old.manifest.json"
+    old.write_text(json.dumps(manifest))
+    code, _, _ = run(capsys, "phase", "--config", str(old), "--out", str(b))
+    assert code == 0
+    assert a.read_bytes() == b.read_bytes()
+    assert (tmp_path / "b.csv.manifest.json").read_bytes() == sidecar.read_bytes()
+
+
 def test_check_gn_reports_counts(capsys):
     code, out, _ = run(capsys, "check-gn", "--d", "1", "--radius", "6",
                        "--samples", "200", "--seed", "9")
@@ -296,10 +324,7 @@ def test_tensor_gap_text(capsys):
      "--radius", "2", "--tol", "-1"),
     ("phase", "--d", "1", "--n", "1", "--kappa", "0.1", "--rho", "0.1",
      "--radii", "1", "--tol", "-1"),
-    ("phase", "--d", "1", "--n", "1", "--kappa", "0.1", "--rho", "0.1",
-     "--radii", "1", "--workers", "0"),
-], ids=["mu-tol-floor", "lambda-spectral-tol", "tensor-gap-tol", "phase-tol",
-        "phase-workers"])
+], ids=["mu-tol-floor", "lambda-spectral-tol", "tensor-gap-tol", "phase-tol"])
 def test_bad_solver_inputs_are_usage_errors(capsys, tmp_path, argv):
     out = tmp_path / "g.csv"
     code, _, err = run(capsys, *argv, "--out", str(out))

@@ -3,7 +3,6 @@ import csv
 import json
 import math
 import os
-from concurrent.futures import Future
 
 import pytest
 
@@ -244,7 +243,7 @@ def test_sweep_classifies_once_per_kappa_rho(tmp_path, monkeypatch):
         return classify(*args)
 
     monkeypatch.setattr(phase, "classify", counted)
-    sweep(3, 1, [1, 2], [0.1, 0.3], [0.1], str(b), radii=[1], workers=2)
+    sweep(3, 1, [1, 2], [0.1, 0.3], [0.1], str(b), radii=[1])
     assert calls == [(3, 1, 0.1, 0.1), (3, 1, 0.3, 0.1)]
     assert a.read_bytes() == b.read_bytes()
 
@@ -259,13 +258,6 @@ def test_sweep_classify_failure_fails_its_rows_only(tmp_path, monkeypatch):
     rows = sweep(3, 1, [1, 2], [0.1, 0.3], [0.1], str(tmp_path / "g.csv"), radii=[1])
     assert [r.lambda_kind == "failed" for r in rows] == [False, False, True, True]
     assert all("synthetic classify failure" in r.regime.justification for r in rows[2:])
-
-
-def test_sweep_worker_count_does_not_change_output(tmp_path):
-    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    sweep(1, 1, [1], [0.1, 0.2], [0.3], str(a), radii=[1, 2])
-    sweep(1, 1, [1], [0.1, 0.2], [0.3], str(b), radii=[1, 2], workers=2)
-    assert a.read_bytes() == b.read_bytes()
 
 
 def test_sweep_resume_after_interrupt(tmp_path, monkeypatch):
@@ -425,7 +417,7 @@ def test_sweep_validation(tmp_path):
 
 @pytest.mark.parametrize("bad", [
     dict(tol=0.0), dict(tol=-1.0), dict(tol=math.inf), dict(tol=math.nan),
-    dict(workers=0), dict(d=0), dict(n=0), dict(p_values=[0, 1]),
+    dict(d=0), dict(n=0), dict(p_values=[0, 1]),
     dict(kappas=[-0.1]), dict(kappas=[0.1, math.nan]), dict(kappas=[0.1, math.inf]),
     dict(rhos=[-0.1]), dict(rhos=[math.nan])])
 def test_sweep_rejects_bad_solver_inputs_before_writing(tmp_path, bad):
@@ -435,29 +427,3 @@ def test_sweep_rejects_bad_solver_inputs_before_writing(tmp_path, bad):
     with pytest.raises(ValueError):
         sweep(out=str(out), **args)
     assert not out.exists()
-
-
-def test_sweep_interrupt_cancels_pending_rows(tmp_path, monkeypatch):
-    shutdowns = []
-
-    class RecordingPool:
-        def __init__(self, max_workers):
-            pass
-
-        def submit(self, fn, *args):
-            future = Future()
-            future.set_result(fn(*args))
-            return future
-
-        def shutdown(self, wait=True, cancel_futures=False):
-            shutdowns.append({"wait": wait, "cancel_futures": cancel_futures})
-
-    def interrupted(path, text):
-        raise KeyboardInterrupt
-
-    monkeypatch.setattr(phase, "ProcessPoolExecutor", RecordingPool)
-    monkeypatch.setattr(phase, "write_atomic", interrupted)
-    with pytest.raises(KeyboardInterrupt):
-        sweep(1, 1, [1], [0.1, 0.2], [0.3], str(tmp_path / "grid.csv"),
-              radii=[1, 2], workers=2)
-    assert shutdowns == [{"wait": True, "cancel_futures": True}]

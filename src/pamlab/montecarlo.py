@@ -13,15 +13,17 @@ the merged jump epochs; its measure is computed exactly (no time grid).
 Sampling draws p independent X-copies per catalyst draw, which makes the
 product over copies an unbiased estimator of u^p without nested averaging.
 
-A path is a pair of arrays: its jump epochs and its positions, the running
-sum of the start and one one-hot step per jump.  Many paths are stored back
-to back in one batch, and a batch's collision measures come from a few
-whole-array numpy operations: one sort of every pair's merged cut points,
-and one lookup of both paths' positions at every piece's midpoint.
-`lambda_mc` evaluates a whole block of samples in one batch; `collision_time`
-evaluates its p*n pairs in one batch.  These are the same floats, summed by
-`math.fsum`, as a piece-by-piece evaluation, so the results are the same
-bit for bit.
+A single path is a list of its jump epochs and a list of its positions,
+the start plus one unit step per jump.  `collision_time` takes each
+walker-catalyst pair in plain Python: one sort of the pair's cut points and
+one bisection per side at every piece's midpoint.  `lambda_mc` instead
+stores a block of samples back to back in arrays, and a block's collision
+measures come from a few whole-array numpy operations: one sort of every
+pair's merged cut points, and one lookup of both paths' positions at every
+piece's midpoint.  A single call pays no numpy fixed cost; a block of about
+4,096 jumps spreads it over hundreds of samples.  Both routes compute the
+same floats, summed by `math.fsum`, as a piece-by-piece evaluation, so
+their results are the same bit for bit.
 
 Per-sample RNG streams are keyed by (seed, sample index), and the final
 log-sum-exp reduction runs in sample-index order, so results are bit-for-bit
@@ -30,8 +32,10 @@ is accumulated in log space with compensated summation.
 """
 from __future__ import annotations
 
+import bisect
 import logging
 import math
+import operator
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence, Tuple
@@ -66,8 +70,9 @@ class JumpPath:
 
     events are time-sorted (epoch, axis, sign) triples with axis in 1..d and
     sign +-1; the position is piecewise constant and right-continuous.  The
-    events are checked and turned into the arrays ``_epochs`` and
-    ``_positions`` at construction; every computation reads those arrays.
+    events are checked and turned into the lists ``_epochs`` (floats) and
+    ``_positions`` (int tuples, one more than the epochs) at construction;
+    every computation reads those lists.
     """
 
     d: int
@@ -76,17 +81,32 @@ class JumpPath:
     horizon: float
 
     def __post_init__(self):
-        epochs, axes, signs = np.array(self.events, dtype=float).reshape(-1, 3).T
-        positions = _positions(self.d, self.start, self.horizon,
-                               np.array([len(epochs)]), epochs, axes, signs)
+        d, horizon = self.d, self.horizon
+        if d < 1:
+            raise ValueError(f"dimension must be >= 1, got d={d}")
+        if len(self.start) != d:
+            raise ValueError(f"start has {len(self.start)} coordinates, d={d}")
+        position = [operator.index(c) for c in self.start]
+        epochs, positions = [], [tuple(position)]
+        prev, axes = _BEFORE_ZERO, range(1, d + 1)
+        for epoch, axis, sign in self.events:
+            if not (prev < epoch <= horizon and axis in axes and sign in (1, -1)):
+                after = prev if epochs else "its path's start"
+                raise ValueError(
+                    f"epochs must be strictly increasing within [0, {horizon}], axes "
+                    f"in 1..{d} and signs +-1; got epoch {float(epoch)} after {after}, "
+                    f"axis {float(axis)}, sign {float(sign)}")
+            prev = float(epoch)
+            position[int(axis) - 1] += int(sign)
+            epochs.append(prev)
+            positions.append(tuple(position))
         object.__setattr__(self, "_epochs", epochs)
         object.__setattr__(self, "_positions", positions)
 
     def position(self, s: float) -> Tuple[int, ...]:
         if not 0.0 <= s <= self.horizon:
             raise ValueError(f"time {s} outside [0, {self.horizon}]")
-        i = int(np.searchsorted(self._epochs, s, side="right"))
-        return tuple(int(c) for c in self._positions[i])
+        return self._positions[bisect.bisect_right(self._epochs, s)]
 
 
 @dataclass(frozen=True)
@@ -133,8 +153,8 @@ def _positions(d: int, start: Sequence[int], horizon: float, counts: np.ndarray,
     one-hot steps of the first r jumps (right-continuous at jumps).
 
     The checks reuse the row layout of the positions, each path's start row
-    holding _BEFORE_ZERO as its time, which keeps down the fixed cost that
-    one short path pays.
+    holding _BEFORE_ZERO as its time, so a whole block is checked by a few
+    whole-array operations.
     """
     if d < 1:
         raise ValueError(f"dimension must be >= 1, got d={d}")
@@ -159,11 +179,10 @@ def _positions(d: int, start: Sequence[int], horizon: float, counts: np.ndarray,
     steps = np.zeros((len(times), d), dtype=np.int64)
     steps[rows] = step
     positions = steps.cumsum(axis=0)
-    if paths > 1:
-        # after the running sum, a path's start row holds the steps of the
-        # paths before it
-        first = np.arange(paths) + counts.cumsum() - counts
-        positions -= positions[first].repeat(counts + 1, axis=0)
+    # after the running sum, a path's start row holds the steps of the paths
+    # before it
+    first = np.arange(paths) + counts.cumsum() - counts
+    positions -= positions[first].repeat(counts + 1, axis=0)
     positions += start
     return positions
 
@@ -239,6 +258,23 @@ def _collision_measures(t: float, p: int, n: int, counts: np.ndarray,
     return [math.fsum(lengths[lo:hi - 1]) for lo, hi in zip([0] + ends, ends)]
 
 
+def _pair_measure(x: JumpPath, y: JumpPath, t: float) -> float:
+    """Exact |{s in [0,t]: x(s) = y(t-s)}|, piece by piece.
+
+    The same cuts, midpoints, lookups and piece lengths as
+    `_collision_measures`, so the same float.
+    """
+    ex, ey = x._epochs, y._epochs
+    cuts = sorted([0.0, t, *(min(e, t) for e in ex), *(t - min(e, t) for e in ey)])
+    px, py = x._positions, y._positions
+    pieces = []
+    for a, b in zip(cuts, cuts[1:]):
+        mid = 0.5 * (a + b)
+        if px[bisect.bisect_right(ex, mid)] == py[bisect.bisect_right(ey, t - mid)]:
+            pieces.append(b - a)
+    return math.fsum(pieces)
+
+
 def collision_time(xs: Sequence[JumpPath], ys: Sequence[JumpPath], t: float) -> float:
     """Total pairwise collision time sum_{j,k} |{s: X_j(s) = Y_k(t-s)}| in [0, npt]."""
     if t < 0:
@@ -248,12 +284,11 @@ def collision_time(xs: Sequence[JumpPath], ys: Sequence[JumpPath], t: float) -> 
         if path.horizon < t:
             raise ValueError(
                 f"path horizon {path.horizon} shorter than requested t={t}")
-    if not xs or not ys:
-        return 0.0
-    return math.fsum(_collision_measures(
-        t, len(xs), len(ys), np.array([len(path._epochs) for path in paths]),
-        np.concatenate([path._epochs for path in paths]),
-        np.concatenate([path._positions for path in paths])))
+        if path.d != paths[0].d:
+            raise ValueError(
+                f"paths must share one dimension, got d={paths[0].d} and d={path.d}")
+    t = float(t)
+    return math.fsum(_pair_measure(x, y, t) for x in xs for y in ys)
 
 
 def _block_logws(params: PamParams, t: float, draws: list) -> list[float]:

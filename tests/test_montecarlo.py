@@ -58,6 +58,19 @@ def test_path_validation():
         JumpPath(d=1, start=(0,), events=((0.5, 1, 2),), horizon=1.0)
 
 
+@pytest.mark.parametrize("start", [(0.5,), (1.0,)])
+def test_path_start_must_be_integer(start):
+    with pytest.raises(TypeError):
+        JumpPath(d=1, start=start, events=((0.5, 1, 1),), horizon=1.0)
+
+
+def test_path_positions_are_plain_ints():
+    p = JumpPath(d=2, start=(np.int64(1), np.int64(-2)),
+                 events=((0.5, 2, 1),), horizon=1.0)
+    assert p.position(0.0) == (1, -2) and p.position(1.0) == (1, -1)
+    assert all(type(c) is int for s in (0.0, 1.0) for c in p.position(s))
+
+
 def loop_positions(d, start, counts, axes, signs):
     """Positions path by path, step by step."""
     rows, k = [], 0
@@ -172,6 +185,13 @@ def test_collision_validation():
         collision_time([still()], [still()], -1.0)
     with pytest.raises(ValueError):
         collision_time([still(horizon=1.0)], [still()], 2.0)
+
+
+def test_collision_of_paths_of_different_dimensions_is_refused():
+    with pytest.raises(ValueError):
+        collision_time([still(d=1)], [still(d=2)], 2.0)
+    with pytest.raises(ValueError):
+        collision_time([still(d=2), still(d=1)], [still(d=2)], 2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -379,6 +399,88 @@ def test_collision_edge_cases_match_oracle():
     ]
     for x, y, t, expected in cases:
         assert collision_time([x], [y], t) == oracle_pair_collision(x, y, t) == expected
+
+
+# The two tests above take collision_time's plain-Python route; the tests
+# below take the same pairs through lambda_mc's numpy batch kernel.
+
+def kernel_collision(xs, ys, t):
+    """collision_time through the kernel of lambda_mc's blocks: each path's
+    positions from `_positions`, every pair in one `_collision_measures`."""
+    paths = (*xs, *ys)
+    jumps = [np.array(path.events, dtype=float).reshape(-1, 3).T for path in paths]
+    positions = np.concatenate([
+        montecarlo._positions(path.d, path.start, path.horizon,
+                              np.array([len(epochs)]), epochs, axes, signs)
+        for path, (epochs, axes, signs) in zip(paths, jumps)])
+    return math.fsum(montecarlo._collision_measures(
+        t, len(xs), len(ys), np.array([len(path.events) for path in paths]),
+        np.concatenate([epochs for epochs, _, _ in jumps]), positions))
+
+
+def oracle_cases(d):
+    """(xs, ys, t) for the pairs and multi-path calls, drawn as
+    test_collision_is_bit_identical_to_oracle draws them."""
+    rng = np.random.Generator(np.random.Philox(key=np.array([2024, d], dtype=np.uint64)))
+    for i in range(700):
+        t = float(rng.choice([0.5, 1.0, 2.0, 3.7]))
+        horizon = t if i % 3 else t + float(rng.choice([0.25, 1.5]))
+        if i % 2:
+            x = sample_path(d, float(rng.uniform(0.0, 1.5)), horizon, rng)
+            y = sample_path(d, float(rng.uniform(0.0, 1.5)), horizon, rng)
+        else:
+            x = grid_path(rng, d, t, horizon, 0.25)
+            y = grid_path(rng, d, t, horizon, 0.25)
+        yield [x], [y], t
+    for _ in range(30):
+        xs = [sample_path(d, 0.7, 2.0, rng) for _ in range(int(rng.integers(1, 4)))]
+        ys = [grid_path(rng, d, 2.0, 2.0, 0.25) for _ in range(int(rng.integers(1, 4)))]
+        yield xs, ys, 2.0
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_kernel_is_bit_identical_to_oracle(d):
+    for xs, ys, t in oracle_cases(d):
+        assert kernel_collision(xs, ys, t) == oracle_collision_time(xs, ys, t)
+
+
+def test_kernel_edge_cases_match_oracle():
+    def path(events, horizon=2.0, start=(0,)):
+        return JumpPath(d=1, start=start, events=events, horizon=horizon)
+
+    # the cases of test_collision_edge_cases_match_oracle
+    cases = [
+        (path(((0.0, 1, 1),)), path((), start=(1,)), 2.0, 2.0),
+        (path(((0.75, 1, 1),)), path(((1.25, 1, 1),)), 2.0, 0.0),
+        (path(((0.75, 1, 1),), start=(-1,)), path(((1.25, 1, 1),)), 2.0, 1.25),
+        (path(((0.5, 1, 1), (2.5, 1, -1)), horizon=3.0),
+         path(((1.0, 1, 1), (2.9, 1, 1)), horizon=3.0), 2.0, 0.5),
+        (path(((2.0, 1, 1),)), path(((2.0, 1, -1),)), 2.0, 2.0),
+        (path(((math.nextafter(0.75, 1.0), 1, 1),)), path(((1.25, 1, 1),)), 2.0, 0.0),
+        (path(()), path(()), 2.0, 2.0),
+        (path((), start=(3,)), path(()), 2.0, 0.0),
+    ]
+    for x, y, t, expected in cases:
+        assert kernel_collision([x], [y], t) == oracle_pair_collision(x, y, t) == expected
+
+
+@pytest.mark.parametrize("d, n, p", [(1, 1, 1), (3, 2, 2)])
+def test_blocks_match_collision_time(d, n, p):
+    # lambda_mc's block kernel and the plain-Python route give the same log W
+    # for the same draws
+    params = PamParams(d=d, n=n, p=p, kappa=0.25, rho=0.2)
+    t = 3.0
+    rng = np.random.Generator(np.random.Philox(key=np.array([77, d], dtype=np.uint64)))
+    rates = (params.kappa,) * p + (params.rho,) * n
+    draws = [montecarlo._draw(d, nu, t, rng) for _ in range(300) for nu in rates]
+    paths = [JumpPath(d=d, start=(0,) * d, horizon=t,
+                      events=tuple(zip(epochs.tolist(), axes.tolist(), signs.tolist())))
+             for epochs, axes, signs in draws]
+    k = p + n
+    expected = [collision_time(paths[i:i + p], paths[i + p:i + k], t)
+                for i in range(0, len(paths), k)]
+    assert montecarlo._block_logws(params, t, draws) == expected
+    assert 0 < sum(0 < w < n * p * t for w in expected) < 300
 
 
 @settings(max_examples=200, deadline=None)

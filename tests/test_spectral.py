@@ -1117,6 +1117,24 @@ def test_f0_pins_hold_under_each_blas_thread_count(threads):
     assert got == list(F0_PINS.values())
 
 
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_quadrature_values_hold_under_each_blas_thread_count(threads):
+    # the head of greens._certified_integral sums with np.dot, BLAS ddot,
+    # which splits its partial sums by thread once the vectors are long
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    code = ("import json; from pamlab import greens, spectral; "
+            "gs = [greens.green_zero(3), greens.alpha(5), greens.green_at(3, (1, 2, 3))]; "
+            "print(json.dumps([[g.value, g.abs_error] for g in gs] "
+            "+ [spectral.mu(3, 0.1), spectral.mu_inverse(3, 0.4)]))")
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=300,
+        env=dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads))
+    assert proc.returncode == 0, proc.stderr
+    gs = [greens.green_zero(3), greens.alpha(5), greens.green_at(3, (1, 2, 3))]
+    here = [[g.value, g.abs_error] for g in gs] + [mu(3, 0.1), mu_inverse(3, 0.4)]
+    assert json.loads(proc.stdout) == here
+
+
 def test_f0_table_memory_stays_flat():
     # the dense (R+1)^d table and its per-multiset build peaked at 17.7 MB
     f0_rayleigh(5, 1, 1, 0.0, 2)     # imports and quadrature caches first

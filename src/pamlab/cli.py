@@ -238,6 +238,7 @@ def cmd_lambda_mc(cfg: dict) -> CommandResult:
         "lambda_t": est.lambda_t,
         "stderr": est.stderr if interval_ok else None,
         "ess": est.ess,
+        "jumps": est.jumps, "redrawn_blocks": est.redrawn_blocks,
     }
     if interval_ok:
         text = f"{_fmt(est.lambda_t)} +- {_fmt(1.96 * est.stderr)}"

@@ -27,8 +27,14 @@ their results are the same bit for bit.
 
 Per-sample RNG streams are keyed by (seed, sample index), and the final
 log-sum-exp reduction runs in sample-index order, so results are bit-for-bit
-reproducible for any worker count.  Weights live in [1, e^{npt}]; everything
-is accumulated in log space with compensated summation.
+reproducible for any worker count.  Every path's draws are `_draw`'s: a
+Poisson count, uniform epochs, then axes and signs from two `integers`
+calls.  `lambda_mc` makes the first two draws on the `Generator` and reads
+the words the two `integers` calls would consume straight from Philox, one
+`random_raw` per path; a block's words are then decoded at once by numpy's
+own rule, so the values are `_draw`'s bit for bit.  Weights live in
+[1, e^{npt}]; everything is accumulated in log space with compensated
+summation.
 """
 from __future__ import annotations
 
@@ -84,6 +90,8 @@ class JumpPath:
         d, horizon = self.d, self.horizon
         if d < 1:
             raise ValueError(f"dimension must be >= 1, got d={d}")
+        if not horizon >= 0:
+            raise ValueError(f"horizon must be >= 0, got horizon={horizon}")
         if len(self.start) != d:
             raise ValueError(f"start has {len(self.start)} coordinates, d={d}")
         position = [operator.index(c) for c in self.start]
@@ -118,6 +126,8 @@ class McEstimate:
     lambda_t: float
     stderr: float
     ess: float
+    jumps: int              # jumps drawn over all paths of all samples
+    redrawn_blocks: int     # blocks drawn again through `_draw` (see `_chunk_logws`)
 
 
 def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
@@ -187,21 +197,60 @@ def _positions(d: int, start: Sequence[int], horizon: float, counts: np.ndarray,
     return positions
 
 
+def _check_rate(nu: float, t_end: float) -> None:
+    if nu < 0 or t_end < 0:
+        raise ValueError(f"need nu >= 0 and t_end >= 0, got nu={nu}, t_end={t_end}")
+
+
 def _draw(d: int, nu: float, t_end: float, rng_stream: np.random.Generator):
     """The jumps (epochs, axes, signs) of a rate-2*d*nu walk on [0, t_end].
 
     Jump count ~ Poisson(2 d nu t_end), epochs uniform, directions uniform
     over the 2d axis-sign choices.  Draw order (count, epochs, axes, signs)
-    is fixed as part of the reproducibility contract.
+    is fixed as part of the reproducibility contract; `lambda_mc` draws the
+    same values, its axes and signs read from Philox words by numpy's rule
+    (`_chunk_logws`).
     """
-    if nu < 0 or t_end < 0:
-        raise ValueError(f"need nu >= 0 and t_end >= 0, got nu={nu}, t_end={t_end}")
+    _check_rate(nu, t_end)
     count = int(rng_stream.poisson(2.0 * d * nu * t_end)) if nu > 0 else 0
     epochs = rng_stream.uniform(0.0, t_end, size=count)
     epochs.sort()
     axes = rng_stream.integers(1, d + 1, size=count)
     signs = 2 * rng_stream.integers(0, 2, size=count) - 1
     return epochs, axes, signs
+
+
+def _bounded(halves: np.ndarray, r: int):
+    """numpy's draw from [0, r) for each 32-bit word in halves, and whether
+    numpy rejects that word and reads another.
+
+    This is Lemire's rule as numpy's `buffered_bounded_lemire_uint32` applies
+    it: the value is (u * r) >> 32, rejected where (u * r) mod 2^32 is below
+    2^32 mod r, which is 0 when r is a power of 2.
+    """
+    v = halves.astype(np.int64) * r
+    return v >> 32, (v & 0xFFFFFFFF) < (1 << 32) % r
+
+
+def _decode(d: int, counts: np.ndarray, starts: np.ndarray, words: np.ndarray):
+    """The axes and signs `_draw`'s two `integers` calls read from words, and
+    whether numpy would have rejected any word they used.
+
+    words are raw 64-bit Philox words, each read as Philox's `next_uint32`
+    does: the low half, then the high half.  Path i's draws start at half
+    starts[i]: counts[i] axes, then counts[i] signs.  At d=1 the axes take
+    no half, since numpy draws nothing for a range holding one value.
+    """
+    halves = words.astype("<u8", copy=False).view("<u4")
+    if d == 1:
+        signs, rejected = _bounded(halves[_ranges(starts, counts)], 2)
+        axes = np.ones(len(signs), dtype=np.int64)
+    else:
+        signs, rejected = _bounded(halves[_ranges(starts + counts, counts)], 2)
+        axes, axis_rejected = _bounded(halves[_ranges(starts, counts)], d)
+        axes += 1
+        rejected |= axis_rejected
+    return axes, 2 * signs - 1, bool(rejected.any())
 
 
 def sample_path(d: int, nu: float, t_end: float,
@@ -277,7 +326,7 @@ def _pair_measure(x: JumpPath, y: JumpPath, t: float) -> float:
 
 def collision_time(xs: Sequence[JumpPath], ys: Sequence[JumpPath], t: float) -> float:
     """Total pairwise collision time sum_{j,k} |{s: X_j(s) = Y_k(t-s)}| in [0, npt]."""
-    if t < 0:
+    if not t >= 0:
         raise ValueError(f"horizon must be >= 0, got t={t}")
     paths = (*xs, *ys)
     for path in paths:
@@ -291,35 +340,93 @@ def collision_time(xs: Sequence[JumpPath], ys: Sequence[JumpPath], t: float) -> 
     return math.fsum(_pair_measure(x, y, t) for x in xs for y in ys)
 
 
-def _block_logws(params: PamParams, t: float, draws: list) -> list[float]:
-    """log W of each sample in draws, which holds sample after sample the
-    `_draw` results of its p walkers, then of its n catalysts."""
-    counts = np.array([len(epochs) for epochs, _, _ in draws])
-    epochs, axes, signs = (np.concatenate(column) for column in zip(*draws))
+def _logws(params: PamParams, t: float, counts: np.ndarray, epochs: np.ndarray,
+           axes: np.ndarray, signs: np.ndarray) -> list[float]:
+    """log W of each sample of a batch stored as `_positions` takes it:
+    sample after sample, its p walkers, then its n catalysts."""
     positions = _positions(params.d, (0,) * params.d, t, counts, epochs, axes, signs)
     measures = _collision_measures(t, params.p, params.n, counts, epochs, positions)
     pairs = params.p * params.n
     return [math.fsum(measures[k:k + pairs]) for k in range(0, len(measures), pairs)]
 
 
-def _chunk_logws(args) -> np.ndarray:
-    """log W of samples lo..hi-1, drawn sample by sample, evaluated in blocks."""
+def _block_logws(params: PamParams, t: float, draws: list) -> list[float]:
+    """log W of each sample in draws, which holds sample after sample the
+    `_draw` results of its p walkers, then of its n catalysts."""
+    counts = np.array([len(epochs) for epochs, _, _ in draws])
+    return _logws(params, t, counts, *(np.concatenate(column) for column in zip(*draws)))
+
+
+def _chunk_logws(args) -> tuple[np.ndarray, int, int]:
+    """log W of samples lo..hi-1, drawn sample by sample, evaluated in blocks,
+    with the number of jumps drawn and of blocks drawn again.
+
+    Sample i's draws are `_draw`'s for its p walkers, then its n catalysts,
+    from a new Philox(key=(seed, i)).  Each path's count and epochs come from
+    the Generator.  Its axes and signs, which `_draw` takes from two
+    `integers` calls, are read instead as raw Philox words, one `random_raw`
+    per path, and `_decode`d a block at a time.  Those calls take 32-bit
+    halves, low then high, and a half left over is the next path's first.
+    The Generator draws no 32-bit value of its own, so a path that needs
+    `new` halves after the sample's first `used` reads
+    ceil((used + new) / 2) - ceil(used / 2) words.  numpy rejects a half
+    with odds below r / 2^32 and reads another, which moves every later
+    draw; a block holding such a half is drawn again through `_draw`.
+    """
     params, t, seed, lo, hi = args
+    d = params.d
+    rates = (params.kappa,) * params.p + (params.rho,) * params.n
+    for nu in rates:
+        _check_rate(nu, t)
+    lams = [2.0 * d * nu * t if nu > 0 else None for nu in rates]
     bits = np.random.Philox(key=np.array([seed, lo], dtype=np.uint64))
     rng = np.random.Generator(bits)
     fresh = bits.state
-    logws, draws, jumps = [], [], 0
-    for i in range(lo, hi):
+
+    def restart(i):
         # the state of a new Philox(key=(seed, i)), set without building one
         fresh["state"]["key"] = np.array([seed, i], dtype=np.uint64)
         bits.state = fresh
-        for nu in (params.kappa,) * params.p + (params.rho,) * params.n:
-            draws.append(_draw(params.d, nu, t, rng))
-            jumps += len(draws[-1][0])
-        if jumps >= _BLOCK_JUMPS or i == hi - 1:
-            logws += _block_logws(params, t, draws)
-            draws, jumps = [], 0
-    return np.array(logws)
+
+    logws, jumps, redrawn = [], 0, 0
+    first, counts, epochs, starts, words, base, block_jumps = lo, [], [], [], [], 0, 0
+    for i in range(lo, hi):
+        restart(i)
+        used = 0        # 32-bit halves this sample's paths have drawn; the
+                        # block's samples before it drew base halves
+        for lam in lams:
+            count = int(rng.poisson(lam)) if lam is not None else 0
+            epochs.append(rng.uniform(0.0, t, size=count))
+            counts.append(count)
+            block_jumps += count
+            starts.append(base + used)
+            new = count if d == 1 else 2 * count
+            m = (used + new + 1) // 2 - (used + 1) // 2
+            if m:
+                words.append(bits.random_raw(m))
+            used += new
+        base += 2 * ((used + 1) // 2)
+        if block_jumps >= _BLOCK_JUMPS or i == hi - 1:
+            jumps += block_jumps
+            counts = np.array(counts)
+            axes, signs, rejected = _decode(
+                d, counts, np.array(starts),
+                np.concatenate(words) if words else np.zeros(0, dtype=np.uint64))
+            if rejected:
+                redrawn += 1
+                draws = []
+                for j in range(first, i + 1):
+                    restart(j)
+                    draws += [_draw(d, nu, t, rng) for nu in rates]
+                logws += _block_logws(params, t, draws)
+            else:
+                # each path's epochs sorted, as `_draw` sorts them
+                keyed = _keyed(np.arange(len(counts)).repeat(counts), np.concatenate(epochs))
+                keyed.sort()
+                logws += _logws(params, t, counts, keyed.imag, axes, signs)
+            first, counts, epochs, starts, words, base, block_jumps = (
+                i + 1, [], [], [], [], 0, 0)
+    return np.array(logws), jumps, redrawn
 
 
 def lambda_mc(params: PamParams, t: float, samples: int, seed: int,
@@ -330,7 +437,7 @@ def lambda_mc(params: PamParams, t: float, samples: int, seed: int,
     effective sample size (sum w)^2 / sum w^2 of the weights, the
     meaningful diagnostic here because W is heavy-tailed for large t.
     """
-    if t <= 0:
+    if not t > 0:
         raise ValueError(f"horizon must be positive, got t={t}")
     if samples < 2:
         raise ValueError(f"need at least 2 samples, got {samples}")
@@ -340,7 +447,7 @@ def lambda_mc(params: PamParams, t: float, samples: int, seed: int,
         raise ValueError(f"workers must be >= 1, got {workers}")
 
     if workers == 1:
-        logws = _chunk_logws((params, t, seed, 0, samples))
+        parts = [_chunk_logws((params, t, seed, 0, samples))]
     else:
         chunk = max(1, -(-samples // (workers * 4)))
         jobs = [(params, t, seed, lo, min(lo + chunk, samples))
@@ -351,7 +458,7 @@ def lambda_mc(params: PamParams, t: float, samples: int, seed: int,
         finally:
             # after an error or interrupt, drop the chunks not yet started
             pool.shutdown(cancel_futures=True)
-        logws = np.concatenate(parts)
+    logws = np.concatenate([part[0] for part in parts])
 
     m = float(np.max(logws))
     q = np.exp(logws - m)
@@ -364,7 +471,9 @@ def lambda_mc(params: PamParams, t: float, samples: int, seed: int,
     stderr = math.sqrt(var / samples) / mean1 / (params.p * t)
     ess = s1 * s1 / s2 if s2 > 0 else 0.0
     return McEstimate(params=params, t=t, samples=samples, seed=seed,
-                      lambda_t=lambda_t, stderr=stderr, ess=ess)
+                      lambda_t=lambda_t, stderr=stderr, ess=ess,
+                      jumps=sum(part[1] for part in parts),
+                      redrawn_blocks=sum(part[2] for part in parts))
 
 
 def pde_moment_oracle(params: PamParams, R: int, t: float,
@@ -381,7 +490,7 @@ def pde_moment_oracle(params: PamParams, R: int, t: float,
     if len(catalyst_paths) != params.n:
         raise ValueError(
             f"need {params.n} catalyst paths, got {len(catalyst_paths)}")
-    if t < 0:
+    if not t >= 0:
         raise ValueError(f"time must be >= 0, got t={t}")
     for path in catalyst_paths:
         if path.horizon < t:

@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from pamlab import greens, spectral
+from pamlab import greens, montecarlo, spectral
 from pamlab.cli import main
 
 
@@ -157,6 +157,27 @@ def test_lambda_mc_suppresses_weak_interval(capsys):
     assert code == 0
     assert "confidence interval suppressed" in out
     assert "ESS 10.0 < 30" in out
+
+
+def test_lambda_mc_json_counts_jumps_and_redrawn_blocks(capsys, tmp_path):
+    argv = ("lambda-mc", "--d", "3", "--n", "2", "--p", "2", "--kappa", "0.1",
+            "--rho", "0.1", "--t", "3", "--samples", "300", "--seed", "2024")
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    code, _, _ = run(capsys, *argv, "--out", str(a))
+    assert code == 0
+    result = json.loads(a.read_text())["result"]
+    params = spectral.PamParams(d=3, n=2, p=2, kappa=0.1, rho=0.1)
+    est = montecarlo.lambda_mc(params, 3.0, 300, 2024)
+    assert (result["jumps"], result["redrawn_blocks"]) == (est.jumps, 0)
+    assert est.jumps > 0
+    # both counts are deterministic, so the manifest still reruns byte for byte
+    code, _, _ = run(capsys, "lambda-mc", "--config", str(a), "--out", str(b))
+    assert code == 0 and a.read_bytes() == b.read_bytes()
+    csv_out = tmp_path / "mc.csv"
+    code, _, _ = run(capsys, *argv, "--format", "csv", "--out", str(csv_out))
+    assert code == 0
+    assert csv_out.read_text().splitlines()[0] == \
+        "d,n,p,kappa,rho,t,samples,seed,lambda_t,stderr,ess"
 
 
 # ---------------------------------------------------------------------------

@@ -58,6 +58,13 @@ def test_path_validation():
         JumpPath(d=1, start=(0,), events=((0.5, 1, 2),), horizon=1.0)
 
 
+@pytest.mark.parametrize("horizon", [math.nan, -1.0])
+def test_path_refuses_a_nan_or_negative_horizon(horizon):
+    # with no events no epoch comparison runs, so the horizon is checked itself
+    with pytest.raises(ValueError, match="horizon must be >= 0"):
+        JumpPath(d=1, start=(0,), events=(), horizon=horizon)
+
+
 @pytest.mark.parametrize("start", [(0.5,), (1.0,)])
 def test_path_start_must_be_integer(start):
     with pytest.raises(TypeError):
@@ -187,6 +194,12 @@ def test_collision_validation():
         collision_time([still(horizon=1.0)], [still()], 2.0)
 
 
+def test_collision_time_refuses_a_nan_horizon():
+    x = JumpPath(d=1, start=(0,), events=((0.5, 1, 1),), horizon=2.0)
+    with pytest.raises(ValueError, match="horizon must be >= 0"):
+        collision_time([x], [still(horizon=2.0)], math.nan)
+
+
 def test_collision_of_paths_of_different_dimensions_is_refused():
     with pytest.raises(ValueError):
         collision_time([still(d=1)], [still(d=2)], 2.0)
@@ -257,6 +270,29 @@ def test_lambda_mc_validation():
         lambda_mc(params, t=1.0, samples=10, seed=1, workers=0)
 
 
+def test_lambda_mc_refuses_a_nan_horizon():
+    params = PamParams(d=1, n=1, p=1, kappa=0.1, rho=0.1)
+    with pytest.raises(ValueError, match="horizon must be positive"):
+        lambda_mc(params, t=math.nan, samples=10, seed=1)
+
+
+def test_lambda_mc_refuses_an_infinite_horizon():
+    # numpy refuses the Poisson rate, or the epochs' range when nobody moves
+    with pytest.raises(ValueError, match="lam value too large"):
+        lambda_mc(PamParams(d=1, n=1, p=1, kappa=0.1, rho=0.1),
+                  t=math.inf, samples=10, seed=1)
+    with pytest.raises(OverflowError):
+        lambda_mc(PamParams(d=1, n=1, p=1, kappa=0.0, rho=0.0),
+                  t=math.inf, samples=10, seed=1)
+
+
+def test_lambda_mc_refuses_a_negative_rate():
+    params = PamParams(d=2, n=1, p=1, kappa=0.1, rho=0.1)
+    object.__setattr__(params, "rho", -0.1)   # PamParams itself refuses it
+    with pytest.raises(ValueError, match="need nu >= 0"):
+        lambda_mc(params, t=1.0, samples=10, seed=1)
+
+
 # ---------------------------------------------------------------------------
 # PDE oracle
 # ---------------------------------------------------------------------------
@@ -303,6 +339,12 @@ def test_pde_validation():
     with pytest.raises(ValueError):
         pde_moment_oracle(params, R=3, t=5.0,
                           catalyst_paths=[still(), still()])
+
+
+def test_pde_refuses_a_nan_time():
+    params = PamParams(d=1, n=1, p=1, kappa=0.1, rho=0.1)
+    with pytest.raises(ValueError, match="time must be >= 0"):
+        pde_moment_oracle(params, R=3, t=math.nan, catalyst_paths=[still()])
 
 
 # ---------------------------------------------------------------------------
@@ -545,6 +587,96 @@ def test_equal_epochs_raise_through_the_fast_route(monkeypatch):
     params = PamParams(d=1, n=1, p=1, kappa=0.5, rho=0.5)
     with pytest.raises(ValueError, match="strictly increasing"):
         lambda_mc(params, t=1.0, samples=4, seed=0)
+
+
+def drawn_chunk(args):
+    """The oracle for `_chunk_logws`: every path through `_draw`, each sample
+    from a new Philox(key=(seed, i)); also the jumps drawn and 0 redrawn."""
+    params, t, seed, lo, hi = args
+    rates = (params.kappa,) * params.p + (params.rho,) * params.n
+    logws, jumps = [], 0
+    for i in range(lo, hi):
+        rng = np.random.Generator(np.random.Philox(key=np.array([seed, i], dtype=np.uint64)))
+        draws = [montecarlo._draw(params.d, nu, t, rng) for nu in rates]
+        logws += montecarlo._block_logws(params, t, draws)
+        jumps += sum(len(epochs) for epochs, _, _ in draws)
+    return np.array(logws), jumps, 0
+
+
+# d=1 reads one half per jump, so odd counts carry a half to the next path;
+# d=3 and d=5 have nonzero rejection thresholds (2^32 mod d = 1); a zero
+# rate draws no count
+WORD_ROUTE_CASES = [
+    (PamParams(d=1, n=1, p=2, kappa=0.25, rho=0.25), 5.0),
+    (PamParams(d=2, n=2, p=1, kappa=0.3, rho=0.0), 2.0),
+    (PamParams(d=3, n=2, p=2, kappa=0.1, rho=0.1), 3.0),
+    (PamParams(d=4, n=1, p=2, kappa=0.2, rho=0.1), 2.0),
+    (PamParams(d=5, n=1, p=1, kappa=0.0, rho=0.2), 2.0),
+    (PamParams(d=3, n=1, p=1, kappa=0.25, rho=0.25), 20.0),
+]
+
+
+@pytest.mark.parametrize("block_jumps", [montecarlo._BLOCK_JUMPS, 5])
+@pytest.mark.parametrize("params, t", WORD_ROUTE_CASES)
+def test_word_route_matches_the_drawn_route(monkeypatch, params, t, block_jumps):
+    # chunk splits of 777 start chunks mid-stream, as a worker pool does
+    monkeypatch.setattr(montecarlo, "_BLOCK_JUMPS", block_jumps)
+    samples = 1000
+    logws, jumps, redrawn = drawn_chunk((params, t, 9, 0, samples))
+    parts = [montecarlo._chunk_logws((params, t, 9, lo, min(lo + 777, samples)))
+             for lo in range(0, samples, 777)]
+    assert np.concatenate([part[0] for part in parts]).tolist() == logws.tolist()
+    assert sum(part[1] for part in parts) == jumps > 0
+    assert sum(part[2] for part in parts) == redrawn == 0
+
+
+@pytest.mark.parametrize("params, t", WORD_ROUTE_CASES[:3])
+def test_word_route_matches_the_drawn_route_with_workers(monkeypatch, params, t):
+    fast = lambda_mc(params, t=t, samples=400, seed=5, workers=2)
+    monkeypatch.setattr(montecarlo, "_chunk_logws", drawn_chunk)
+    drawn = lambda_mc(params, t=t, samples=400, seed=5)
+    assert fast == drawn
+
+
+def test_decode_flags_the_words_numpy_rejects():
+    # range 3 rejects a 32-bit word u exactly when 3u mod 2^32 < 1, i.e. u = 0
+    words = np.array([0, 5, 7, 2**63 + 12345], dtype=np.uint64)
+    bits = np.random.Philox(key=np.array([1, 2], dtype=np.uint64))
+    state = bits.state
+    state["buffer"], state["buffer_pos"] = words, 0
+    bits.state = state
+    drawn = np.random.Generator(bits).integers(1, 4, size=3)
+    # numpy read seven halves: the four words, the last one's high half kept
+    assert (bits.state["buffer_pos"], bits.state["has_uint32"]) == (4, 1)
+    halves = np.stack((words & 0xFFFFFFFF, words >> 32), axis=1).ravel()
+    values, rejected = montecarlo._bounded(halves, 3)
+    assert rejected.tolist() == [True, True, False, True, False, True, False, False]
+    assert (values[~rejected][:3] + 1).tolist() == drawn.tolist() == [1, 1, 1]
+    axes, signs, any_rejected = montecarlo._decode(3, np.array([3]), np.array([0]), words)
+    assert (axes.tolist(), signs.tolist(), any_rejected) == ([1, 1, 1], [-1, -1, -1], True)
+    # a power-of-two range never rejects
+    assert not montecarlo._bounded(halves, 2)[1].any()
+
+
+class FirstWordZero(np.random.Philox):
+    """Philox whose first `random_raw` word reads 0, which numpy rejects as
+    a draw from a range of 3."""
+
+    def random_raw(self, size=None, output=True):
+        words = super().random_raw(size, output)
+        if not getattr(self, "zeroed", False):
+            words[0], self.zeroed = 0, True
+        return words
+
+
+def test_rejected_word_redraws_its_block(monkeypatch):
+    monkeypatch.setattr(montecarlo.np.random, "Philox", FirstWordZero)
+    params = PamParams(d=3, n=2, p=2, kappa=0.1, rho=0.1)
+    est = lambda_mc(params, t=3.0, samples=300, seed=2024)
+    assert (est.lambda_t, est.stderr, est.ess) == (
+        GOLDEN["lambda_t"], GOLDEN["stderr"], GOLDEN["ess"])
+    assert est.redrawn_blocks == 1
+    assert est.jumps == drawn_chunk((params, 3.0, 2024, 0, 300))[1]
 
 
 # ---------------------------------------------------------------------------

@@ -58,8 +58,11 @@ eigensolver.
 """
 from __future__ import annotations
 
+import ctypes
 import itertools
 import math
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import NamedTuple, Sequence
@@ -461,6 +464,51 @@ _NCV = 40
 _MAXITER = 20
 
 
+@lru_cache(maxsize=None)
+def _openblas_set_threads():
+    """openblas_set_num_threads_local of the OpenBLAS bundled in scipy.libs,
+    the library scipy.linalg's LAPACK runs on, or None where there is none
+    (a scipy built against another BLAS).  It sets the thread count and
+    returns the previous one."""
+    import glob
+    import scipy
+
+    libs = os.path.join(os.path.dirname(scipy.__file__), os.pardir, "scipy.libs")
+    for path in sorted(glob.glob(os.path.join(libs, "libscipy_openblas*.so"))):
+        try:
+            fn = ctypes.CDLL(path).openblas_set_num_threads_local
+        except (OSError, AttributeError):
+            continue
+        fn.argtypes = [ctypes.c_int]
+        fn.restype = ctypes.c_int
+        return fn
+    return None
+
+
+@contextmanager
+def _one_blas_thread():
+    """Run the block on one thread of scipy's OpenBLAS and restore the
+    caller's count after it, also when it raises.
+
+    syevr's last bits depend on how many threads its BLAS calls split the
+    work over, so a dense value pinned this way reads the same whatever
+    OPENBLAS_NUM_THREADS is.  At _DENSE_CUTOFF unknowns or fewer a second
+    thread saves no wall time; it only spins.  Without the bundled library
+    the block runs on the caller's count.  scipy's wheels ship a pthreads
+    OpenBLAS, where the count set here is the whole process's, not only the
+    calling thread's; pamlab makes no BLAS call from another thread.
+    """
+    set_threads = _openblas_set_threads()
+    if set_threads is None:
+        yield
+        return
+    previous = set_threads(1)
+    try:
+        yield
+    finally:
+        set_threads(previous)
+
+
 def _top_pair(A, v0: np.ndarray, tol: float, scale: float) -> _Solution:
     """Top eigenpair of the symmetric operator A (a sparse matrix or a
     LinearOperator); converged means residual ||A v - theta v||_2 <= tol,
@@ -468,15 +516,20 @@ def _top_pair(A, v0: np.ndarray, tol: float, scale: float) -> _Solution:
 
     At most _DENSE_CUTOFF unknowns, A is assembled in one product A @ I and
     LAPACK's MRRR driver (syevr) computes its top eigenpair alone, at the
-    cost of size + 1 operator applications; larger problems go to
-    _krylov_top from v0.
+    cost of size + 1 operator applications.  syevr runs on one OpenBLAS
+    thread (_one_blas_thread), so its value does not depend on the BLAS
+    thread count.  Larger problems go to _krylov_top from v0, on the
+    caller's thread count: ARPACK's products at that size gain from the
+    threads.
     """
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be finite and > 0, got {tol}")
     size = v0.size
     if size > _DENSE_CUTOFF:
         return _krylov_top(A.dot, v0, tol, scale)
-    w, V = eigh(A.dot(np.eye(size)), subset_by_index=[size - 1, size - 1])
+    M = A.dot(np.eye(size))
+    with _one_blas_thread():
+        w, V = eigh(M, subset_by_index=[size - 1, size - 1])
     theta = float(w[0])
     vec = V[:, 0]
     res = float(np.linalg.norm(A.dot(vec) - theta * vec))

@@ -1,6 +1,8 @@
-"""Print the BLAS thread setting, on which the last bits of dense solves
-depend: in the session header, and after the summary of a run with failures,
-because `-q` hides the header."""
+"""Print the BLAS thread setting in the session header, and after the
+summary of a run with failures, because `-q` hides the header.  Dense solves
+run on one OpenBLAS thread whatever the setting is, but ARPACK and numpy's
+products on long vectors still split their sums over its threads, so a last
+bit that moves with it shows which of those to look at."""
 import os
 
 

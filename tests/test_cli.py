@@ -417,3 +417,32 @@ def test_cli_import_leaves_scipy_optimize_out():
         capture_output=True, text=True, timeout=120, env=dict(os.environ, PYTHONPATH=src))
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+# the 64-row phase sweep of the phase-certify benchmark (dense quotient
+# solves of 10 and 255 unknowns) and a tensor gap on a 289-site box
+THREAD_COUNT_COMMANDS = {
+    "phase.csv": "phase --d 3 --n 1 --p-values 1,2 --kappas 0.02,0.05,0.08,0.12,0.16,0.2,"
+                 "0.25,0.3 --rhos 0.02,0.05,0.1,0.15 --radii 1",
+    "gap.json": "tensor-gap --d 1 --n 1 --kappa 0.25 --rho 0.25 --radius 8",
+}
+
+
+def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # one fresh interpreter per count: the OpenBLAS libraries read
+    # OPENBLAS_NUM_THREADS once, at import
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    outputs = {}
+    for threads in ("1", "2"):
+        work = tmp_path / threads
+        work.mkdir()
+        argvs = [command.split() + ["--out", str(work / name)]
+                 for name, command in THREAD_COUNT_COMMANDS.items()]
+        code = ("import sys; from pamlab.cli import main; "
+                f"sys.exit(max(main(argv) for argv in {argvs!r}))")
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=300,
+            env=dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads))
+        assert proc.returncode == 0, proc.stderr
+        outputs[threads] = {name: (work / name).read_bytes() for name in THREAD_COUNT_COMMANDS}
+    assert outputs["1"] == outputs["2"]

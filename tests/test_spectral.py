@@ -8,6 +8,8 @@ dense top-pair solve, the brute-force minimum over the symmetry group for
 the orbit labels, the labelling of every frame-box site for the enumerated
 orbits, and the whole catalyst-frame box for its symmetric sector.
 """
+import ctypes
+import glob
 import itertools
 import json
 import math
@@ -18,6 +20,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import sparse
@@ -675,27 +678,92 @@ def test_krylov_solves_are_pinned(solve, want):
     assert (est.value, est.error, est.solver, est.dim, est.matvecs) == want
 
 
-# (value, error, solver, dim, matvecs) of three dense solves: the matrix
-# assembled in one product, its top pair from LAPACK's syevr.  Any change to
-# the dense path's assembly or driver shows here.  These are the same with
-# 1, 2 and 4 OpenBLAS threads; from 255 unknowns up, syevr's last bits
-# depend on the BLAS thread count, so no larger solve is pinned.
+# (value, error, solver, dim, matvecs) of six dense solves: the matrix
+# assembled in one product, its top pair from LAPACK's syevr on one OpenBLAS
+# thread.  Any change to the dense path's assembly or driver shows here.
+# The three solves of 255 unknowns and more were recorded once syevr ran on
+# one thread; with the caller's 2 threads their last bits differed from
+# these, and the subprocess test below checks every pin under 1 and 2.
 DENSE_PINS = [
-    (lambda: top_eigen(PamParams(1, 1, 1, 0.25, 0.25), 4),
+    ("top_eigen(PamParams(1, 1, 1, 0.25, 0.25), 4)",
      (0.4025334051708924, 1.1035698315042386e-15, "dense", 81, 82)),
-    (lambda: lambda_spectral(PamParams(2, 1, 1, 0.25, 0.2), [6])[-1],
+    ("lambda_spectral(PamParams(2, 1, 1, 0.25, 0.2), [6])[-1]",
      (0.04738067542543423, 1.2593339183767098e-15, "dense", 91, 92)),
-    (lambda: lambda_spectral(PamParams(1, 1, 1, 0.25, 0.25), [100])[-1],
+    ("lambda_spectral(PamParams(1, 1, 1, 0.25, 0.25), [100])[-1]",
      (0.4142135623730945, 5.102928256283809e-16, "dense", 201, 202)),
+    ("lambda_spectral(PamParams(3, 1, 2, 0.05, 0.1), [1])[-1]",
+     (0.43404903514337745, 3.9065305363780755e-16, "dense", 255, 256)),
+    ("lambda_spectral(PamParams(1, 1, 2, 0.25, 0.25), [8])[-1]",
+     (0.45337299389975194, 1.2339045301398926e-15, "dense", 289, 290)),
+    ("lambda_spectral(PamParams(2, 1, 2, 0.1, 0.2), [2])[-1]",
+     (0.30446889883088457, 1.0289208230717417e-15, "dense", 461, 462)),
 ]
 
 
 @pytest.mark.parametrize("solve,want", DENSE_PINS,
                          ids=["top_eigen-81-sites", "quotient-91-orbits",
-                              "quotient-201-orbits"])
+                              "quotient-201-orbits", "quotient-255-orbits",
+                              "quotient-289-orbits", "quotient-461-orbits"])
 def test_dense_solves_are_pinned(solve, want):
-    est = solve()
+    est = eval(solve, vars(spectral))
     assert est.converged
+    assert (est.value, est.error, est.solver, est.dim, est.matvecs) == want
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_dense_pins_hold_under_each_blas_thread_count(threads):
+    # a fresh interpreter: scipy's OpenBLAS reads the thread count at import
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    code = ("import json; from pamlab.spectral import *; "
+            f"ests = [eval(s) for s in {[solve for solve, _ in DENSE_PINS]!r}]; "
+            "print(json.dumps([(e.value, e.error, e.solver, e.dim, e.matvecs) "
+            "for e in ests]))")
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=300,
+        env=dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads))
+    assert proc.returncode == 0, proc.stderr
+    assert [tuple(e) for e in json.loads(proc.stdout)] == [want for _, want in DENSE_PINS]
+
+
+def scipy_blas_threads() -> int:
+    """The thread count of the OpenBLAS that scipy.linalg calls."""
+    libs = os.path.join(os.path.dirname(scipy.__file__), os.pardir, "scipy.libs")
+    path = sorted(glob.glob(os.path.join(libs, "libscipy_openblas*.so")))[0]
+    get_threads = ctypes.CDLL(path).scipy_openblas_get_num_threads
+    get_threads.argtypes = []
+    get_threads.restype = ctypes.c_int
+    return get_threads()
+
+
+def test_dense_solve_restores_the_blas_thread_count(monkeypatch):
+    set_threads = spectral._openblas_set_threads()
+    assert set_threads is not None, "scipy.libs holds no bundled OpenBLAS"
+    previous = set_threads(2)
+    try:
+        seen = []
+        dense_eigh = spectral.eigh
+
+        def spy_eigh(M, **kwargs):
+            seen.append(scipy_blas_threads())
+            return dense_eigh(M, **kwargs)
+
+        monkeypatch.setattr(spectral, "eigh", spy_eigh)
+        top_eigen(PamParams(1, 1, 1, 0.25, 0.25), 4)
+        assert seen == [1]
+        assert scipy_blas_threads() == 2
+        with pytest.raises(RuntimeError, match="inside"):
+            with spectral._one_blas_thread():
+                assert scipy_blas_threads() == 1
+                raise RuntimeError("raised inside")
+        assert scipy_blas_threads() == 2
+    finally:
+        set_threads(previous)
+
+
+def test_dense_solve_runs_unpinned_without_the_library(monkeypatch):
+    monkeypatch.setattr(spectral, "_openblas_set_threads", lambda: None)
+    solve, want = DENSE_PINS[1]
+    est = eval(solve, vars(spectral))
     assert (est.value, est.error, est.solver, est.dim, est.matvecs) == want
 
 

@@ -29,10 +29,12 @@ Per-sample RNG streams are keyed by (seed, sample index), and the final
 log-sum-exp reduction runs in sample-index order, so results are bit-for-bit
 reproducible for any worker count.  Every path's draws are `_draw`'s: a
 Poisson count, uniform epochs, then axes and signs from two `integers`
-calls.  `lambda_mc` makes the first two draws on the `Generator` and reads
-the words the two `integers` calls would consume straight from Philox, one
-`random_raw` per path; a block's words are then decoded at once by numpy's
-own rule, so the values are `_draw`'s bit for bit.  Weights live in
+calls.  On Philox, `sample_path` and `lambda_mc` draw only the count on the
+`Generator` and read the rest straight from Philox, one `random_raw` per
+path (`_path_words`): a word per epoch, then the words the `integers` calls
+would split into 32-bit halves.  `sample_path` decodes its few words in
+plain Python, `lambda_mc` a block's words at once in numpy; both follow
+numpy's own rules, so the values are `_draw`'s bit for bit.  Weights live in
 [1, e^{npt}]; everything is accumulated in log space with compensated
 summation.
 """
@@ -68,6 +70,9 @@ logger = logging.getLogger(__name__)
 # fixed cost of a block's numpy calls over hundreds of samples, while its
 # arrays stay near a megabyte (plus at most one sample past the budget).
 _BLOCK_JUMPS = 1 << 12
+
+# the words of a path without jumps
+_NO_WORDS = np.zeros(0, dtype=np.uint64)
 
 
 @dataclass(frozen=True)
@@ -198,6 +203,9 @@ def _positions(d: int, start: Sequence[int], horizon: float, counts: np.ndarray,
 
 
 def _check_rate(nu: float, t_end: float) -> None:
+    # by name: at nu = 0 the word routes make no draw that would refuse it
+    if not math.isfinite(t_end):
+        raise ValueError(f"horizon must be finite, got t_end={t_end}")
     if nu < 0 or t_end < 0:
         raise ValueError(f"need nu >= 0 and t_end >= 0, got nu={nu}, t_end={t_end}")
 
@@ -207,17 +215,47 @@ def _draw(d: int, nu: float, t_end: float, rng_stream: np.random.Generator):
 
     Jump count ~ Poisson(2 d nu t_end), epochs uniform, directions uniform
     over the 2d axis-sign choices.  Draw order (count, epochs, axes, signs)
-    is fixed as part of the reproducibility contract; `lambda_mc` draws the
-    same values, its axes and signs read from Philox words by numpy's rule
-    (`_chunk_logws`).
+    is fixed as part of the reproducibility contract.  This is the route for
+    any stream; on Philox, `sample_path` and `lambda_mc` draw the count the
+    same way and read the rest as raw words (`_path_words`), with the same
+    values.
     """
     _check_rate(nu, t_end)
     count = int(rng_stream.poisson(2.0 * d * nu * t_end)) if nu > 0 else 0
+    return _draw_jumps(d, count, t_end, rng_stream)
+
+
+def _draw_jumps(d: int, count: int, t_end: float, rng_stream: np.random.Generator):
+    """`_draw`'s draws after its count: count uniform epochs, sorted, then
+    the axes and the signs from two `integers` calls."""
     epochs = rng_stream.uniform(0.0, t_end, size=count)
     epochs.sort()
     axes = rng_stream.integers(1, d + 1, size=count)
     signs = 2 * rng_stream.integers(0, 2, size=count) - 1
     return epochs, axes, signs
+
+
+def _path_words(bits: np.random.Philox, d: int, count: int, carried: int) -> np.ndarray:
+    """The raw Philox words `_draw` reads after a path's count of jumps, in
+    one `random_raw` call: count words for the epochs, then the words of the
+    axis and sign halves.
+
+    `uniform` reads one word per epoch (`_uniform`).  The two `integers`
+    calls then read one 32-bit half per axis (none at d=1, where numpy draws
+    nothing for a range holding one value) and one per sign, through
+    Philox's `next_uint32`: first the half its buffer holds (`carried`, 0 or
+    1), then the low and the high half of each new word.  A half left over
+    at the end stays in that buffer for the stream's next 32-bit draw.
+    """
+    halves = count if d == 1 else 2 * count
+    return bits.random_raw(count + (halves - carried + 1) // 2)
+
+
+def _uniform(words, t: float):
+    """numpy's `uniform(0.0, t)` from raw Philox words, an int or a uint64
+    array: 0.0 + t * next_double, where next_double is the word's top 53
+    bits times 2^-53."""
+    return 0.0 + t * ((words >> 11) * 2.0 ** -53)
 
 
 def _bounded(halves: np.ndarray, r: int):
@@ -253,16 +291,73 @@ def _decode(d: int, counts: np.ndarray, starts: np.ndarray, words: np.ndarray):
     return axes, 2 * signs - 1, bool(rejected.any())
 
 
+def _decode_path(d: int, count: int, halves: list[int]):
+    """`_decode` for one path in plain Python: the axes and signs its count
+    jumps read from the 32-bit halves (ints, in draw order), or None where
+    numpy would reject an axis half.  A sign is a draw from [0, 2), the
+    half's top bit, which numpy never rejects."""
+    if d == 1:
+        return [1] * count, [(u >> 31) * 2 - 1 for u in halves[:count]]
+    threshold = (1 << 32) % d
+    axes = []
+    for u in halves[:count]:
+        v = u * d
+        if v & 0xFFFFFFFF < threshold:
+            return None
+        axes.append((v >> 32) + 1)
+    return axes, [(u >> 31) * 2 - 1 for u in halves[count:2 * count]]
+
+
 def sample_path(d: int, nu: float, t_end: float,
                 rng_stream: np.random.Generator) -> JumpPath:
     """Draw a rate-2*d*nu simple-random-walk path on [0, t_end] from the origin.
 
     Jump count ~ Poisson(2 d nu t_end), epochs uniform, directions uniform
-    over the 2d axis-sign choices; the draws and their order are `_draw`'s.
+    over the 2d axis-sign choices; the draws, their order and the stream's
+    state after the call are `_draw`'s.  On a stream whose bit generator is
+    exactly `np.random.Philox`, the count comes from `poisson` and the rest
+    from one `_path_words` call (`_philox_events`); any other stream, and a
+    path holding a half numpy would reject, draws through `_draw`'s calls.
     """
-    epochs, axes, signs = _draw(d, nu, t_end, rng_stream)
-    events = tuple(zip(epochs.tolist(), axes.tolist(), signs.tolist()))
-    return JumpPath(d=d, start=(0,) * d, events=events, horizon=float(t_end))
+    _check_rate(nu, t_end)
+    count = int(rng_stream.poisson(2.0 * d * nu * t_end)) if nu > 0 else 0
+    events = None
+    if not count:
+        events = ()
+    elif type(getattr(rng_stream, "bit_generator", None)) is np.random.Philox:
+        events = _philox_events(d, count, float(t_end), rng_stream.bit_generator)
+    if events is None:
+        epochs, axes, signs = _draw_jumps(d, count, t_end, rng_stream)
+        events = zip(epochs.tolist(), axes.tolist(), signs.tolist())
+    return JumpPath(d=d, start=(0,) * d, events=tuple(events), horizon=float(t_end))
+
+
+def _philox_events(d: int, count: int, t: float, bits: np.random.Philox):
+    """The (epoch, axis, sign) triples of count jumps drawn after a path's
+    count, read from `_path_words` and decoded in plain Python, or None,
+    with the state unchanged, where numpy would reject an axis half.
+
+    The half buffer is read from the state before the words are drawn.
+    When the path used a buffered half or leaves one, the state is set
+    back with the buffer as numpy leaves it, and the words drawn again.
+    """
+    state = bits.state
+    carried = state["has_uint32"]
+    words = _path_words(bits, d, count, carried).tolist()
+    halves = [state["uinteger"]] if carried else []
+    for w in words[count:]:
+        halves += (w & 0xFFFFFFFF, w >> 32)
+    jumps = _decode_path(d, count, halves)
+    if jumps is None:
+        bits.state = state
+        return None
+    left = len(halves) - (count if d == 1 else 2 * count)
+    if carried or left:
+        # numpy keeps the last half it read as uinteger, used or not
+        state["has_uint32"], state["uinteger"] = left, halves[-1]
+        bits.state = state
+        bits.random_raw(len(words))
+    return zip(sorted([_uniform(w, t) for w in words[:count]]), *jumps)
 
 
 def _collision_measures(t: float, p: int, n: int, counts: np.ndarray,
@@ -362,16 +457,16 @@ def _chunk_logws(args) -> tuple[np.ndarray, int, int]:
     with the number of jumps drawn and of blocks drawn again.
 
     Sample i's draws are `_draw`'s for its p walkers, then its n catalysts,
-    from a new Philox(key=(seed, i)).  Each path's count and epochs come from
-    the Generator.  Its axes and signs, which `_draw` takes from two
-    `integers` calls, are read instead as raw Philox words, one `random_raw`
-    per path, and `_decode`d a block at a time.  Those calls take 32-bit
-    halves, low then high, and a half left over is the next path's first.
-    The Generator draws no 32-bit value of its own, so a path that needs
-    `new` halves after the sample's first `used` reads
-    ceil((used + new) / 2) - ceil(used / 2) words.  numpy rejects a half
-    with odds below r / 2^32 and reads another, which moves every later
-    draw; a block holding such a half is drawn again through `_draw`.
+    from a new Philox(key=(seed, i)).  Each path's count comes from the
+    Generator's `poisson`; its epochs, axes and signs are read instead as
+    raw Philox words, one `_path_words` call per path, and decoded a block
+    at a time (`_uniform` and `_decode`).  The axes and signs take 32-bit
+    halves, low then high, and a half left over is the next path's first:
+    `random_raw` and `poisson` leave numpy's half buffer alone, so the
+    paths' half words, put end to end, are the sample's halves in draw
+    order.  numpy rejects a half with odds below r / 2^32 and reads another,
+    which moves every later draw; a block holding such a half is drawn
+    again through `_draw`.
     """
     params, t, seed, lo, hi = args
     d = params.d
@@ -389,29 +484,28 @@ def _chunk_logws(args) -> tuple[np.ndarray, int, int]:
         bits.state = fresh
 
     logws, jumps, redrawn = [], 0, 0
-    first, counts, epochs, starts, words, base, block_jumps = lo, [], [], [], [], 0, 0
+    first, counts, starts, words, base, block_jumps = lo, [], [], [], 0, 0
     for i in range(lo, hi):
         restart(i)
         used = 0        # 32-bit halves this sample's paths have drawn; the
                         # block's samples before it drew base halves
         for lam in lams:
             count = int(rng.poisson(lam)) if lam is not None else 0
-            epochs.append(rng.uniform(0.0, t, size=count))
             counts.append(count)
             block_jumps += count
             starts.append(base + used)
-            new = count if d == 1 else 2 * count
-            m = (used + new + 1) // 2 - (used + 1) // 2
-            if m:
-                words.append(bits.random_raw(m))
-            used += new
+            words.append(_path_words(bits, d, count, used % 2) if count else _NO_WORDS)
+            used += count if d == 1 else 2 * count
         base += 2 * ((used + 1) // 2)
         if block_jumps >= _BLOCK_JUMPS or i == hi - 1:
             jumps += block_jumps
             counts = np.array(counts)
-            axes, signs, rejected = _decode(
-                d, counts, np.array(starts),
-                np.concatenate(words) if words else np.zeros(0, dtype=np.uint64))
+            sizes = np.array([len(w) for w in words])
+            raw = np.concatenate(words)
+            at_epochs = _ranges(sizes.cumsum() - sizes, counts)
+            half_words = np.ones(len(raw), dtype=bool)
+            half_words[at_epochs] = False
+            axes, signs, rejected = _decode(d, counts, np.array(starts), raw[half_words])
             if rejected:
                 redrawn += 1
                 draws = []
@@ -421,11 +515,11 @@ def _chunk_logws(args) -> tuple[np.ndarray, int, int]:
                 logws += _block_logws(params, t, draws)
             else:
                 # each path's epochs sorted, as `_draw` sorts them
-                keyed = _keyed(np.arange(len(counts)).repeat(counts), np.concatenate(epochs))
+                keyed = _keyed(np.arange(len(counts)).repeat(counts),
+                               _uniform(raw[at_epochs], t))
                 keyed.sort()
                 logws += _logws(params, t, counts, keyed.imag, axes, signs)
-            first, counts, epochs, starts, words, base, block_jumps = (
-                i + 1, [], [], [], [], 0, 0)
+            first, counts, starts, words, base, block_jumps = i + 1, [], [], [], 0, 0
     return np.array(logws), jumps, redrawn
 
 
@@ -439,6 +533,8 @@ def lambda_mc(params: PamParams, t: float, samples: int, seed: int,
     """
     if not t > 0:
         raise ValueError(f"horizon must be positive, got t={t}")
+    if not math.isfinite(t):
+        raise ValueError(f"horizon must be finite, got t={t}")
     if samples < 2:
         raise ValueError(f"need at least 2 samples, got {samples}")
     if seed is None or seed < 0:

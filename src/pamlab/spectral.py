@@ -464,25 +464,39 @@ _NCV = 40
 _MAXITER = 20
 
 
+def _openblas_function(package: str, *names: str):
+    """The first of the functions names found in the OpenBLAS bundled in
+    package's wheel (<package>.libs/libscipy_openblas*.so), through ctypes,
+    or None where there is none.  numpy and scipy each bundle their own
+    library, with its own symbol names and thread count."""
+    import glob
+    import importlib
+
+    root = os.path.dirname(importlib.import_module(package).__file__)
+    libs = os.path.join(root, os.pardir, package + ".libs")
+    for path in sorted(glob.glob(os.path.join(libs, "libscipy_openblas*.so"))):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for name in names:
+            fn = getattr(lib, name, None)
+            if fn is not None:
+                return fn
+    return None
+
+
 @lru_cache(maxsize=None)
 def _openblas_set_threads():
     """openblas_set_num_threads_local of the OpenBLAS bundled in scipy.libs,
     the library scipy.linalg's LAPACK runs on, or None where there is none
     (a scipy built against another BLAS).  It sets the thread count and
     returns the previous one."""
-    import glob
-    import scipy
-
-    libs = os.path.join(os.path.dirname(scipy.__file__), os.pardir, "scipy.libs")
-    for path in sorted(glob.glob(os.path.join(libs, "libscipy_openblas*.so"))):
-        try:
-            fn = ctypes.CDLL(path).openblas_set_num_threads_local
-        except (OSError, AttributeError):
-            continue
+    fn = _openblas_function("scipy", "openblas_set_num_threads_local")
+    if fn is not None:
         fn.argtypes = [ctypes.c_int]
         fn.restype = ctypes.c_int
-        return fn
-    return None
+    return fn
 
 
 @contextmanager

@@ -160,6 +160,115 @@ def test_sample_path_validation():
         sample_path(1, -0.5, 1.0, rng)
     with pytest.raises(ValueError):
         sample_path(1, 0.5, -1.0, rng)
+    for nu in (0.0, 0.5):
+        with pytest.raises(ValueError, match="horizon must be finite"):
+            sample_path(1, nu, math.inf, rng)
+
+
+# ---------------------------------------------------------------------------
+# sample_path's word route
+# ---------------------------------------------------------------------------
+
+class EqualWords(np.random.Philox):
+    """Philox whose `random_raw` words all read 2^62: every epoch read from
+    them is t/4, and every sign half's top bit is 0."""
+
+    def random_raw(self, size=None, output=True):
+        words = super().random_raw(size, output)
+        words[...] = 1 << 62
+        return words
+
+
+def drawn_path(d, nu, t, rng):
+    """The oracle for `sample_path`: its draws through `_draw`'s numpy calls."""
+    epochs, axes, signs = montecarlo._draw(d, nu, t, rng)
+    events = tuple(zip(epochs.tolist(), axes.tolist(), signs.tolist()))
+    return JumpPath(d=d, start=(0,) * d, events=events, horizon=float(t))
+
+
+def plain(value):
+    """A bit generator's state as lists and ints, comparable with ==."""
+    if isinstance(value, dict):
+        return {key: plain(v) for key, v in value.items()}
+    return value.tolist() if isinstance(value, np.ndarray) else value
+
+
+def stream_state(rng):
+    """The stream's state, less numpy's uinteger when no half is buffered:
+    the next 32-bit draw reads a new word then, whatever uinteger holds."""
+    state = plain(rng.bit_generator.state)
+    if not state["has_uint32"]:
+        state["uinteger"] = None
+    return state
+
+
+@pytest.fixture
+def numpy_draws(monkeypatch):
+    """The streams `_draw_jumps` draws from, one entry per call."""
+    streams = []
+    draw_jumps = montecarlo._draw_jumps
+
+    def spy(d, count, t_end, rng_stream):
+        streams.append(rng_stream)
+        return draw_jumps(d, count, t_end, rng_stream)
+
+    monkeypatch.setattr(montecarlo, "_draw_jumps", spy)
+    return streams
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+def test_word_route_matches_draw_on_a_shared_stream(numpy_draws, d):
+    # paths at zero and positive rates, between 32-bit draws of odd sizes
+    # (a half left in numpy's buffer) and uniform draws, on two copies of a
+    # stream; every path, draw and state must agree
+    fast = np.random.Generator(np.random.Philox(key=np.array([31, d], dtype=np.uint64)))
+    slow = np.random.Generator(np.random.Philox(key=np.array([31, d], dtype=np.uint64)))
+    plan = np.random.Generator(np.random.PCG64(d))
+    carried_in = carried_out = jumps = 0
+    for _ in range(500):
+        step = int(plan.integers(0, 4))
+        if step == 0:
+            size = int(plan.integers(1, 4))
+            assert fast.integers(0, 7, size).tolist() == slow.integers(0, 7, size).tolist()
+        elif step == 1:
+            assert fast.uniform(0.0, 2.0) == slow.uniform(0.0, 2.0)
+        else:
+            nu, t = float(plan.choice([0.0, 0.05, 0.3, 1.0])), float(plan.uniform(0.5, 3.0))
+            carried_in += fast.bit_generator.state["has_uint32"]
+            path = sample_path(d, nu, t, fast)
+            assert path == drawn_path(d, nu, t, slow)
+            carried_out += fast.bit_generator.state["has_uint32"]
+            jumps += len(path.events)
+        assert stream_state(fast) == stream_state(slow)
+    assert carried_in > 0 and carried_out > 0 and jumps > 300
+    assert not [rng for rng in numpy_draws if rng is fast]
+
+
+def test_rejected_half_rewinds_and_draws_through_numpy(numpy_draws):
+    # a buffered half of 0 is the first axis half; numpy rejects 0 from a
+    # range of 3 and reads another half
+    fast = np.random.Generator(np.random.Philox(key=np.array([5, 5], dtype=np.uint64)))
+    slow = np.random.Generator(np.random.Philox(key=np.array([5, 5], dtype=np.uint64)))
+    for rng in (fast, slow):
+        state = rng.bit_generator.state
+        state["has_uint32"], state["uinteger"] = 1, 0
+        rng.bit_generator.state = state
+    path = sample_path(3, 1.0, 5.0, fast)
+    assert path.events and path == drawn_path(3, 1.0, 5.0, slow)
+    assert plain(fast.bit_generator.state) == plain(slow.bit_generator.state)
+    assert [rng for rng in numpy_draws if rng is fast] == [fast]
+
+
+@pytest.mark.parametrize("bits", [np.random.PCG64, EqualWords], ids=["PCG64", "subclass"])
+def test_other_streams_draw_through_numpy(numpy_draws, bits):
+    # only np.random.Philox itself takes the word route: a subclass may
+    # override random_raw, which numpy's own draws do not call
+    fast = np.random.Generator(bits(8))
+    slow = np.random.Generator(bits(8))
+    paths = [sample_path(2, 0.5, 3.0, fast) for _ in range(20)]
+    assert paths == [drawn_path(2, 0.5, 3.0, slow) for _ in range(20)]
+    assert plain(fast.bit_generator.state) == plain(slow.bit_generator.state)
+    assert sum(rng is fast for rng in numpy_draws) == sum(1 for p in paths if p.events) > 0
 
 
 # ---------------------------------------------------------------------------
@@ -277,13 +386,16 @@ def test_lambda_mc_refuses_a_nan_horizon():
 
 
 def test_lambda_mc_refuses_an_infinite_horizon():
-    # numpy refuses the Poisson rate, or the epochs' range when nobody moves
-    with pytest.raises(ValueError, match="lam value too large"):
+    # refused by name, also when nobody moves and no draw would fail
+    with pytest.raises(ValueError, match="horizon must be finite"):
         lambda_mc(PamParams(d=1, n=1, p=1, kappa=0.1, rho=0.1),
                   t=math.inf, samples=10, seed=1)
-    with pytest.raises(OverflowError):
+    with pytest.raises(ValueError, match="horizon must be finite"):
         lambda_mc(PamParams(d=1, n=1, p=1, kappa=0.0, rho=0.0),
                   t=math.inf, samples=10, seed=1)
+    params = PamParams(d=1, n=1, p=1, kappa=0.0, rho=0.0)
+    with pytest.raises(ValueError, match="horizon must be finite"):
+        montecarlo._chunk_logws((params, math.inf, 1, 0, 10))
 
 
 def test_lambda_mc_refuses_a_negative_rate():
@@ -583,8 +695,10 @@ class FedStream:
 def test_equal_epochs_raise_through_the_fast_route(monkeypatch):
     with pytest.raises(ValueError, match="strictly increasing"):
         sample_path(1, 0.5, 1.0, FedStream())
-    monkeypatch.setattr(montecarlo.np.random, "Generator", lambda bits: FedStream())
-    params = PamParams(d=1, n=1, p=1, kappa=0.5, rho=0.5)
+    # the counts still come from Philox: at rate 2*d*kappa*t = 5 some of the
+    # 8 paths have two jumps or more
+    monkeypatch.setattr(montecarlo.np.random, "Philox", EqualWords)
+    params = PamParams(d=1, n=1, p=1, kappa=2.5, rho=2.5)
     with pytest.raises(ValueError, match="strictly increasing"):
         lambda_mc(params, t=1.0, samples=4, seed=0)
 
@@ -656,21 +770,35 @@ def test_decode_flags_the_words_numpy_rejects():
     assert (axes.tolist(), signs.tolist(), any_rejected) == ([1, 1, 1], [-1, -1, -1], True)
     # a power-of-two range never rejects
     assert not montecarlo._bounded(halves, 2)[1].any()
+    # the scalar decode reads the same values and rejections from any half on
+    listed = halves.tolist()
+    for k in range(len(halves)):
+        for count in range(1, (len(halves) - k) // 2 + 1):
+            values, rejected = montecarlo._bounded(halves[k:k + count], 3)
+            signs = 2 * montecarlo._bounded(halves[k + count:k + 2 * count], 2)[0] - 1
+            want = None if rejected.any() else ((values + 1).tolist(), signs.tolist())
+            assert montecarlo._decode_path(3, count, listed[k:]) == want
+            signs = 2 * montecarlo._bounded(halves[k:k + count], 2)[0] - 1
+            assert montecarlo._decode_path(1, count, listed[k:]) == ([1] * count, signs.tolist())
 
 
-class FirstWordZero(np.random.Philox):
-    """Philox whose first `random_raw` word reads 0, which numpy rejects as
-    a draw from a range of 3."""
+class FirstHalfZero(np.random.Philox):
+    """Philox whose first `random_raw` call reads 0 as its first half after
+    the epoch words, which numpy rejects as a draw from a range of 3.
+
+    That call is the first path's with a jump, at d=3 with no half carried:
+    count epoch words, then count words of halves, the first axis half the
+    low half of the first of them."""
 
     def random_raw(self, size=None, output=True):
         words = super().random_raw(size, output)
         if not getattr(self, "zeroed", False):
-            words[0], self.zeroed = 0, True
+            words[size // 2], self.zeroed = 0, True
         return words
 
 
 def test_rejected_word_redraws_its_block(monkeypatch):
-    monkeypatch.setattr(montecarlo.np.random, "Philox", FirstWordZero)
+    monkeypatch.setattr(montecarlo.np.random, "Philox", FirstHalfZero)
     params = PamParams(d=3, n=2, p=2, kappa=0.1, rho=0.1)
     est = lambda_mc(params, t=3.0, samples=300, seed=2024)
     assert (est.lambda_t, est.stderr, est.ess) == (

@@ -62,7 +62,7 @@ import ctypes
 import itertools
 import math
 import os
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import NamedTuple, Sequence
@@ -453,13 +453,23 @@ def _start_vector(box: Box) -> np.ndarray:
 
 # At most this many unknowns (orbits for lambda_spectral, sites for
 # top_eigen) are solved densely, on the assembled matrix; larger problems
-# go to ARPACK.
-_DENSE_CUTOFF = 600
+# go to ARPACK.  The measured crossover on a 2-core Xeon: per solve, syevr
+# on the assembled matrix is faster up to 225 unknowns (2.9 ms against
+# ARPACK's 3.4 ms) and slower from 241 (5.3 ms against 2.9 ms), where its
+# O(size^3) reduction passes ARPACK's 42-62 sparse products.
+_DENSE_CUTOFF = 240
+
+# At most this many unknowns, a solve runs on one thread of scipy's
+# OpenBLAS (_one_blas_thread), dense or ARPACK: there a second thread saves
+# no wall time and only spins.  On a 2-core Xeon, ARPACK on 2 threads took
+# the same wall time as on one from 255 to 6,325 unknowns and twice the CPU
+# time; the threads pay from about 20,000 unknowns up.
+_ONE_THREAD_CUTOFF = 600
 
 # ARPACK's Lanczos basis size (ncv) and restart count (maxiter): the former
 # defaults, ncv = min(40, size - 1) and maxiter = max(4, 800 // ncv), as they
 # come out on every problem ARPACK sees, which has more than _DENSE_CUTOFF
-# unknowns.
+# unknowns and so more than _NCV.
 _NCV = 40
 _MAXITER = 20
 
@@ -499,6 +509,19 @@ def _openblas_set_threads():
     return fn
 
 
+def _openblas_threads(package: str) -> int | None:
+    """The live thread count of the OpenBLAS bundled in package's wheel, or
+    None where there is none."""
+    get_threads = _openblas_function(
+        package, "scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads",
+        "openblas_get_num_threads")
+    if get_threads is None:
+        return None
+    get_threads.argtypes = []
+    get_threads.restype = ctypes.c_int
+    return get_threads()
+
+
 @contextmanager
 def _one_blas_thread():
     """Run the block on one thread of scipy's OpenBLAS and restore the
@@ -506,11 +529,13 @@ def _one_blas_thread():
 
     syevr's last bits depend on how many threads its BLAS calls split the
     work over, so a dense value pinned this way reads the same whatever
-    OPENBLAS_NUM_THREADS is.  At _DENSE_CUTOFF unknowns or fewer a second
-    thread saves no wall time; it only spins.  Without the bundled library
-    the block runs on the caller's count.  scipy's wheels ship a pthreads
-    OpenBLAS, where the count set here is the whole process's, not only the
-    calling thread's; pamlab makes no BLAS call from another thread.
+    OPENBLAS_NUM_THREADS is.  ARPACK's solves up to 6,325 unknowns read
+    the same under 1, 2 and 4 threads; from about 20,000 unknowns the
+    threads save wall time but move the last bits.  Without the bundled
+    library the block runs on the caller's count.  scipy's wheels ship a
+    pthreads OpenBLAS, where the count set here is the whole process's, not
+    only the calling thread's; pamlab makes no BLAS call from another
+    thread.
     """
     set_threads = _openblas_set_threads()
     if set_threads is None:
@@ -532,15 +557,17 @@ def _top_pair(A, v0: np.ndarray, tol: float, scale: float) -> _Solution:
     LAPACK's MRRR driver (syevr) computes its top eigenpair alone, at the
     cost of size + 1 operator applications.  syevr runs on one OpenBLAS
     thread (_one_blas_thread), so its value does not depend on the BLAS
-    thread count.  Larger problems go to _krylov_top from v0, on the
-    caller's thread count: ARPACK's products at that size gain from the
-    threads.
+    thread count.  Larger problems go to _krylov_top from v0: above
+    _DENSE_CUTOFF the O(size^3) reduction costs more than ARPACK's few
+    dozen products.  ARPACK runs on one thread up to _ONE_THREAD_CUTOFF
+    unknowns and on the caller's thread count above it.
     """
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be finite and > 0, got {tol}")
     size = v0.size
     if size > _DENSE_CUTOFF:
-        return _krylov_top(A.dot, v0, tol, scale)
+        with _one_blas_thread() if size <= _ONE_THREAD_CUTOFF else nullcontext():
+            return _krylov_top(A.dot, v0, tol, scale)
     M = A.dot(np.eye(size))
     with _one_blas_thread():
         w, V = eigh(M, subset_by_index=[size - 1, size - 1])

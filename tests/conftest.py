@@ -6,24 +6,17 @@ bit that moves with it shows which of those to look at.  numpy and scipy
 each bundle their own OpenBLAS, with its own count; ARPACK and scipy.linalg
 run on scipy's, numpy's products on numpy's.  Both counts are read from the
 libraries, so they show what the solvers ran on, not only what was asked."""
-import ctypes
 import os
 
 
 def _openblas_threads(package: str) -> str:
     """The thread count of the OpenBLAS bundled in package's wheel."""
     try:
-        from pamlab.spectral import _openblas_function
+        from pamlab import spectral
     except ImportError:
         return "unknown"
-    get_threads = _openblas_function(
-        package, "scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads",
-        "openblas_get_num_threads")
-    if get_threads is None:
-        return "none bundled"
-    get_threads.argtypes = []
-    get_threads.restype = ctypes.c_int
-    return str(get_threads())
+    threads = spectral._openblas_threads(package)
+    return "none bundled" if threads is None else str(threads)
 
 
 def _blas_setting() -> str:

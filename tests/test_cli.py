@@ -125,7 +125,7 @@ def test_lambda_spectral_json_records_the_solve(capsys, tmp_path):
                        "--radius", "1", "--format", "json")
     assert code == 0
     (est,) = json.loads(out)["result"]["estimates"]
-    assert (est["solver"], est["dim"], est["matvecs"]) == ("dense", 255, 256)
+    assert (est["solver"], est["dim"], est["matvecs"]) == ("arpack", 255, 42)
     # the CSV form keeps its columns
     csv_out = tmp_path / "ls.csv"
     code, _, _ = run(capsys, "lambda-spectral", "--d", "1", "--n", "1",
@@ -419,8 +419,9 @@ def test_cli_import_leaves_scipy_optimize_out():
     assert proc.stdout.strip() == "[]"
 
 
-# the 64-row phase sweep of the phase-certify benchmark (dense quotient
-# solves of 10 and 255 unknowns) and a tensor gap on a 289-site box
+# the 64-row phase sweep of the phase-certify benchmark (quotient solves of
+# 10 unknowns, dense, and of 255, ARPACK) and a tensor gap on a 289-site box
+# (ARPACK)
 THREAD_COUNT_COMMANDS = {
     "phase.csv": "phase --d 3 --n 1 --p-values 1,2 --kappas 0.02,0.05,0.08,0.12,0.16,0.2,"
                  "0.25,0.3 --rhos 0.02,0.05,0.1,0.15 --radii 1",

@@ -6,7 +6,7 @@ import os
 
 import pytest
 
-from pamlab import greens, phase
+from pamlab import greens, phase, spectral
 from pamlab.phase import (
     PHASE_CSV_HEADER,
     KappaBounds,
@@ -383,6 +383,35 @@ def test_sweep_cursor_past_end_of_csv_starts_fresh(tmp_path, monkeypatch,
         fh.truncate(state["offset"] - 1)
     assert len(crash_sweep(out, resume=True)) == 3
     assert out.read_bytes() == uninterrupted_bytes
+
+
+def test_sweep_resumed_under_another_blas_thread_count_starts_fresh(
+        tmp_path, monkeypatch, uninterrupted_bytes):
+    # ARPACK's last bits move with scipy's OpenBLAS thread count on large
+    # boxes, so rows computed under two counts must not share one file
+    out = tmp_path / "grid.csv"
+    with monkeypatch.context() as m:
+        m.setattr(spectral, "_openblas_threads", lambda package: 1)
+        crash_at(m, "row", 3)
+        with pytest.raises(KeyboardInterrupt):
+            crash_sweep(out)
+    with open(str(out) + ".cursor") as fh:
+        assert json.load(fh)["rows_done"] == 2
+    monkeypatch.setattr(spectral, "_openblas_threads", lambda package: 2)
+    rows = crash_sweep(out, resume=True)
+    assert len(rows) == 3
+    assert out.read_bytes() == uninterrupted_bytes
+    assert not os.path.exists(str(out) + ".cursor")
+
+
+def test_grid_digest_keys_the_blas_thread_count(monkeypatch):
+    jobs = [(1, 1, 1, 0.1, 0.2, (1,), 1e-8)]
+    digests = []
+    for threads in (1, 2, None, 1):
+        monkeypatch.setattr(spectral, "_openblas_threads", lambda package, t=threads: t)
+        digests.append(phase._grid_digest(jobs))
+    # without a bundled OpenBLAS a fixed marker stands in for the count
+    assert len(set(digests)) == 3 and digests[0] == digests[3]
 
 
 def test_sweep_isolates_row_failures(tmp_path, monkeypatch):

@@ -620,6 +620,7 @@ def test_failed_radius_reports_the_largest_converged_bound(monkeypatch):
     # the starved ARPACK, whose start vector is a far worse bound
     params = PamParams(d=1, n=1, p=1, kappa=0.25, rho=0.25)
     want = lambda_spectral(params, [100])[-1]
+    assert want.solver == "dense"
     starve_arpack(monkeypatch)
     with pytest.raises(ConvergenceError) as exc:
         lambda_spectral(params, [100, 400])
@@ -656,34 +657,38 @@ def test_lambda_spectral_checks_tol_before_labelling(monkeypatch, tol):
         lambda_spectral(params, [2], tol=tol)
 
 
-# (value, error, solver, dim, matvecs) of three ARPACK solves, recorded with
+# (value, error, solver, dim, matvecs) of six ARPACK solves, recorded with
 # ncv = 40 and 20 restarts; any change to the Krylov path's arguments or
-# arithmetic shows here
+# arithmetic shows here.
 KRYLOV_PINS = [
-    (lambda: top_eigen(PamParams(1, 1, 1, 0.25, 0.25), 20),
+    ("top_eigen(PamParams(1, 1, 1, 0.25, 0.25), 20)",
      (0.4136841612181632, 4.180044609292392e-12, "arpack", 1681, 82)),
-    (lambda: lambda_spectral(PamParams(1, 1, 1, 0.25, 0.25), [400])[-1],
+    ("lambda_spectral(PamParams(1, 1, 1, 0.25, 0.25), [400])[-1]",
      (0.41421356237309404, 2.386174591310132e-15, "arpack", 801, 42)),
-    (lambda: lambda_spectral(PamParams(d=3, n=1, p=2, kappa=0.05, rho=0.1), [2])[-1],
+    ("lambda_spectral(PamParams(3, 1, 2, 0.05, 0.1), [2])[-1]",
      (0.4340527149629716, 1.048002967868722e-15, "arpack", 6325, 42)),
+    ("lambda_spectral(PamParams(3, 1, 2, 0.05, 0.1), [1])[-1]",
+     (0.43404903514337767, 1.4454379961758632e-16, "arpack", 255, 42)),
+    ("lambda_spectral(PamParams(1, 1, 2, 0.25, 0.25), [8])[-1]",
+     (0.45337299389975283, 3.9463768196697873e-16, "arpack", 289, 42)),
+    ("lambda_spectral(PamParams(2, 1, 2, 0.1, 0.2), [2])[-1]",
+     (0.30446889883088524, 7.622959965737709e-16, "arpack", 461, 42)),
 ]
 
 
 @pytest.mark.parametrize("solve,want", KRYLOV_PINS,
                          ids=["top_eigen-1681-sites", "quotient-801-orbits",
-                              "quotient-6325-orbits"])
+                              "quotient-6325-orbits", "quotient-255-orbits",
+                              "quotient-289-orbits", "quotient-461-orbits"])
 def test_krylov_solves_are_pinned(solve, want):
-    est = solve()
+    est = eval(solve, vars(spectral))
     assert est.converged
     assert (est.value, est.error, est.solver, est.dim, est.matvecs) == want
 
 
-# (value, error, solver, dim, matvecs) of six dense solves: the matrix
+# (value, error, solver, dim, matvecs) of three dense solves: the matrix
 # assembled in one product, its top pair from LAPACK's syevr on one OpenBLAS
 # thread.  Any change to the dense path's assembly or driver shows here.
-# The three solves of 255 unknowns and more were recorded once syevr ran on
-# one thread; with the caller's 2 threads their last bits differed from
-# these, and the subprocess test below checks every pin under 1 and 2.
 DENSE_PINS = [
     ("top_eigen(PamParams(1, 1, 1, 0.25, 0.25), 4)",
      (0.4025334051708924, 1.1035698315042386e-15, "dense", 81, 82)),
@@ -691,38 +696,45 @@ DENSE_PINS = [
      (0.04738067542543423, 1.2593339183767098e-15, "dense", 91, 92)),
     ("lambda_spectral(PamParams(1, 1, 1, 0.25, 0.25), [100])[-1]",
      (0.4142135623730945, 5.102928256283809e-16, "dense", 201, 202)),
-    ("lambda_spectral(PamParams(3, 1, 2, 0.05, 0.1), [1])[-1]",
-     (0.43404903514337745, 3.9065305363780755e-16, "dense", 255, 256)),
-    ("lambda_spectral(PamParams(1, 1, 2, 0.25, 0.25), [8])[-1]",
-     (0.45337299389975194, 1.2339045301398926e-15, "dense", 289, 290)),
-    ("lambda_spectral(PamParams(2, 1, 2, 0.1, 0.2), [2])[-1]",
-     (0.30446889883088457, 1.0289208230717417e-15, "dense", 461, 462)),
 ]
 
 
 @pytest.mark.parametrize("solve,want", DENSE_PINS,
                          ids=["top_eigen-81-sites", "quotient-91-orbits",
-                              "quotient-201-orbits", "quotient-255-orbits",
-                              "quotient-289-orbits", "quotient-461-orbits"])
+                              "quotient-201-orbits"])
 def test_dense_solves_are_pinned(solve, want):
     est = eval(solve, vars(spectral))
     assert est.converged
     assert (est.value, est.error, est.solver, est.dim, est.matvecs) == want
 
 
-@pytest.mark.parametrize("threads", ["1", "2"])
-def test_dense_pins_hold_under_each_blas_thread_count(threads):
-    # a fresh interpreter: scipy's OpenBLAS reads the thread count at import
+def pins_in_a_fresh_interpreter(pins, threads: str) -> list[tuple]:
+    """(value, error, solver, dim, matvecs) of each pinned solve, run in a
+    fresh interpreter: scipy's OpenBLAS reads the thread count at import."""
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     code = ("import json; from pamlab.spectral import *; "
-            f"ests = [eval(s) for s in {[solve for solve, _ in DENSE_PINS]!r}]; "
+            f"ests = [eval(s) for s in {[solve for solve, _ in pins]!r}]; "
             "print(json.dumps([(e.value, e.error, e.solver, e.dim, e.matvecs) "
             "for e in ests]))")
     proc = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, timeout=300,
         env=dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads))
     assert proc.returncode == 0, proc.stderr
-    assert [tuple(e) for e in json.loads(proc.stdout)] == [want for _, want in DENSE_PINS]
+    return [tuple(e) for e in json.loads(proc.stdout)]
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_dense_pins_hold_under_each_blas_thread_count(threads):
+    # syevr's last bits move with the thread count, so it runs on one
+    # whatever the count is
+    assert pins_in_a_fresh_interpreter(DENSE_PINS, threads) == [w for _, w in DENSE_PINS]
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_krylov_pins_hold_under_each_blas_thread_count(threads):
+    # ARPACK runs on one thread up to 600 unknowns and on the caller's
+    # count above; up to 6,325 unknowns its last bits do not move with it
+    assert pins_in_a_fresh_interpreter(KRYLOV_PINS, threads) == [w for _, w in KRYLOV_PINS]
 
 
 def scipy_blas_threads() -> int:
@@ -760,6 +772,29 @@ def test_dense_solve_restores_the_blas_thread_count(monkeypatch):
         set_threads(previous)
 
 
+def test_arpack_runs_on_one_thread_up_to_the_cutoff(monkeypatch):
+    # the 255-orbit quotient is ARPACK's, on one thread like a dense solve;
+    # the 801-orbit one runs on the caller's count
+    set_threads = spectral._openblas_set_threads()
+    assert set_threads is not None, "scipy.libs holds no bundled OpenBLAS"
+    previous = set_threads(2)
+    try:
+        seen = []
+        arpack = spectral.eigsh
+
+        def spy_eigsh(*args, **kwargs):
+            seen.append(scipy_blas_threads())
+            return arpack(*args, **kwargs)
+
+        monkeypatch.setattr(spectral, "eigsh", spy_eigsh)
+        lambda_spectral(PamParams(3, 1, 2, 0.05, 0.1), [1])
+        lambda_spectral(PamParams(1, 1, 1, 0.25, 0.25), [400])
+        assert seen == [1, 2]
+        assert scipy_blas_threads() == 2
+    finally:
+        set_threads(previous)
+
+
 def test_dense_solve_runs_unpinned_without_the_library(monkeypatch):
     monkeypatch.setattr(spectral, "_openblas_set_threads", lambda: None)
     solve, want = DENSE_PINS[1]
@@ -767,19 +802,21 @@ def test_dense_solve_runs_unpinned_without_the_library(monkeypatch):
     assert (est.value, est.error, est.solver, est.dim, est.matvecs) == want
 
 
-@pytest.mark.parametrize("solve,size", [
-    (lambda tol: lambda_spectral(PamParams(1, 1, 1, 0.25, 0.25), [12], tol)[-1], 25),
-    (lambda tol: lambda_spectral(PamParams(2, 1, 1, 0.25, 0.2), [6], tol)[-1], 91),
-    (lambda tol: lambda_spectral(PamParams(1, 1, 1, 0.25, 0.25), [100], tol)[-1], 201),
-    (lambda tol: lambda_spectral(PamParams(3, 1, 2, 0.05, 0.1), [1], tol)[-1], 255),
-    (lambda tol: lambda_spectral(PamParams(1, 1, 2, 0.25, 0.25), [8], tol)[-1], 289),
-    (lambda tol: lambda_spectral(PamParams(2, 1, 2, 0.1, 0.2), [2], tol)[-1], 461),
-    (lambda tol: top_eigen(PamParams(1, 1, 2, 0.25, 0.25), 3, tol), 343),
+@pytest.mark.parametrize("solve,size,solver", [
+    (lambda tol: lambda_spectral(PamParams(1, 1, 1, 0.25, 0.25), [12], tol)[-1], 25, "dense"),
+    (lambda tol: lambda_spectral(PamParams(2, 1, 1, 0.25, 0.2), [6], tol)[-1], 91, "dense"),
+    (lambda tol: lambda_spectral(PamParams(1, 1, 1, 0.25, 0.25), [100], tol)[-1], 201, "dense"),
+    (lambda tol: lambda_spectral(PamParams(3, 1, 2, 0.05, 0.1), [1], tol)[-1], 255, "arpack"),
+    (lambda tol: lambda_spectral(PamParams(1, 1, 2, 0.25, 0.25), [8], tol)[-1], 289, "arpack"),
+    (lambda tol: lambda_spectral(PamParams(2, 1, 2, 0.1, 0.2), [2], tol)[-1], 461, "arpack"),
+    (lambda tol: top_eigen(PamParams(1, 1, 2, 0.25, 0.25), 3, tol), 343, "arpack"),
 ], ids=["quotient-25", "quotient-91", "quotient-201", "quotient-255", "quotient-289",
         "quotient-461", "top_eigen-343-sites"])
-def test_dense_route_matches_the_full_spectrum(monkeypatch, solve, size):
+def test_dense_route_matches_the_full_spectrum(monkeypatch, solve, size, solver):
     # the oracle is the route the dense path replaced: the matrix assembled
-    # one unit vector at a time, and its whole spectrum from np.linalg.eigh
+    # one unit vector at a time, and its whole spectrum from np.linalg.eigh.
+    # Above _DENSE_CUTOFF the solve is ARPACK's, and there is no assembled
+    # matrix to compare.
     seen = {}
     top_pair, dense_eigh = spectral._top_pair, spectral.eigh
 
@@ -802,10 +839,13 @@ def test_dense_route_matches_the_full_spectrum(monkeypatch, solve, size):
         e[i] = 1.0
         loop[:, i] = A.dot(e)
         e[i] = 0.0
-    assert np.array_equal(seen["matrix"], loop)
+    if solver == "dense":
+        assert np.array_equal(seen["matrix"], loop)
+    else:
+        assert "matrix" not in seen
     p = est.params.p
     want = (np.linalg.eigh(loop)[0][-1] - spectral._shift(est.params)) / p
-    assert (est.solver, est.dim, est.converged) == ("dense", size, True)
+    assert (est.solver, est.dim, est.converged) == (solver, size, True)
     assert abs(est.value - want) <= 1e-13
     assert est.error * p <= tol
 
@@ -989,7 +1029,9 @@ def test_lambda_spectral_never_applies_the_frame_operator(monkeypatch):
 
 def test_estimates_carry_their_provenance():
     est = lambda_spectral(PamParams(d=3, n=1, p=2, kappa=0.05, rho=0.1), [1])[-1]
-    assert (est.solver, est.dim, est.matvecs) == ("dense", 255, 256)
+    assert (est.solver, est.dim, est.matvecs) == ("arpack", 255, 42)
+    est = lambda_spectral(PamParams(d=1, n=1, p=1, kappa=0.25, rho=0.25), [100])[-1]
+    assert (est.solver, est.dim, est.matvecs) == ("dense", 201, 202)
     est = top_eigen(PamParams(d=1, n=1, p=1, kappa=0.25, rho=0.25), 20)
     assert est.solver == "arpack" and est.dim == 41 ** 2 and est.matvecs > 0
 

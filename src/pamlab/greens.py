@@ -35,6 +35,20 @@ fraction for the incomplete gamma function, whose truncation is bracketed,
 plus a running rounding bound under a stated libm accuracy); that error
 widens the tail half-width and never moves the midpoint.
 
+Shared head tables.  The head's panels are graded at 0.25/(d + nu_grade + 1)
+for nu_grade = _nu_grade(nu), the smallest power of two at or above nu, so
+the grading is never coarser than one at nu itself.  The nodes, weights and
+nu-free integrand t^w prod_i ive(k_i, 2t) on them then depend only on the
+orders, w, nu_grade, T and the node count; _head_table keeps the last 16 as
+read-only arrays, and a call multiplies by e^{-nu t} and takes one dot
+product.  The Brent steps of spectral.mu and mu_inverse move nu
+continuously; they share one i0e pass per grading class instead of making
+one per step.  The horizon T, the tail bracket and the lo/hi spread stay
+at the exact nu, so every value keeps its certificate; a table is a pure
+function of its key, so no value depends on call order.  At nu = 0,
+nu_grade = 0 and every operation is the one made before the tables
+existed, so G_d(0), |G_d|_2^2, alpha_d and G_d(x) keep their bits.
+
 _green_table alone uses a fixed-node mode: the same horizon and tail midpoint,
 48 nodes per panel and no error check.  It holds G_d on the radius-R cube
 as one flat value per _multisets row (a sorted multiset of |coordinates|);
@@ -341,13 +355,43 @@ def _horizon(ks: Sequence[int], weight: int, nu: float,
         T *= 2.0
 
 
+def _nu_grade(nu: float) -> float:
+    """The smallest power of two at or above nu > 0, read exactly off
+    math.frexp; nu itself for nu = 0 and above 2^1023, where no such float
+    exists."""
+    m, e = math.frexp(nu)
+    return nu if nu == 0.0 or m == 0.5 or e > 1023 else math.ldexp(1.0, e)
+
+
+@lru_cache(maxsize=16)
+def _head_table(orders: Tuple[Tuple[int, int], ...], weight: int, nu_grade: float,
+                T: float, nodes: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(t, w, f): read-only Gauss-Legendre nodes and weights on [0,T], with
+    `nodes` per panel graded at 0.25/(d + nu_grade + 1), and the part of the
+    integrand that does not depend on nu, f = t^w prod_k ive(k, 2t)^mult.
+
+    Each distinct order is evaluated once and raised to its multiplicity
+    (i0e(2t)**d is ten times cheaper than d calls of ive(0, 2t)).
+    """
+    d = sum(mult for _, mult in orders)
+    t, w = _panel_nodes(_edges(0.25 / (d + nu_grade + 1.0), T), nodes)
+    f = math.prod((i0e(2.0 * t) if k == 0 else ive(k, 2.0 * t)) ** mult
+                  for k, mult in orders)
+    if weight:
+        f = f * t ** weight
+    for a in (t, w, f):
+        a.flags.writeable = False
+    return t, w, f
+
+
 def _certified_integral(ks: Sequence[int], weight: int, nu: float, tol: float,
                         strict: bool = True) -> Tuple[float, float]:
     """(value, abs_error) for int_0^inf t^w e^{-nu t} prod_i ive(k_i, 2t) dt.
 
     The integral must converge: nu > 0, or len(ks)/2 - w > 1.  The head [0,T]
-    is Gauss-Legendre on graded panels, certified by the spread between two
-    node counts; the tail [T,inf) is the envelope bracket.  With strict=False
+    is Gauss-Legendre on graded panels (_head_table, graded for
+    _nu_grade(nu)), certified by the spread between two node counts; the
+    tail [T,inf) is the envelope bracket at the exact nu.  With strict=False
     the best (value, abs_error) pair is returned even when abs_error > tol,
     for callers that only need the value up to a self-reported error (e.g.
     sign queries far from a root).
@@ -355,17 +399,11 @@ def _certified_integral(ks: Sequence[int], weight: int, nu: float, tol: float,
     if nu <= 0.0 and 0.5 * len(ks) - weight <= 1.0:
         raise ValueError("integral diverges")
     T, mid, half = _horizon(ks, weight, nu, tol)
-    edges = _edges(0.25 / (len(ks) + nu + 1.0), T)
-    # each distinct order once, raised to its multiplicity (i0e(2t)**d is
-    # ten times cheaper than d calls of ive(0, 2t))
-    orders = sorted(Counter(ks).items())
+    orders = tuple(sorted(Counter(ks).items()))
+    nu_grade = _nu_grade(nu)
 
     def head(nodes: int) -> float:
-        t, w = _panel_nodes(edges, nodes)
-        f = math.prod((i0e(2.0 * t) if k == 0 else ive(k, 2.0 * t)) ** mult
-                      for k, mult in orders)
-        if weight:
-            f = f * t ** weight
+        t, w, f = _head_table(orders, weight, nu_grade, T, nodes)
         if nu:
             f = f * np.exp(-nu * t)
         return float(np.dot(w, f))

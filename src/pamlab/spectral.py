@@ -64,7 +64,7 @@ import math
 import os
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import cache, lru_cache
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -166,7 +166,7 @@ class ConvergenceError(RuntimeError):
 # asked for quad_tol = min(1e-12, 0.01*tol), and greens._certified_integral
 # cannot certify much below 1e-14 (its rounding term is 1e-15).  Over 40
 # kappa in [0.01, 0.99 G_d(0)], the largest abs_error/quad_tol is 0.37 at
-# d = 3 and 0.29 at d = 5 for tol = 1e-12, but 1.45 and 1.21 for tol = 1e-13.
+# d = 3 and 0.29 at d = 5 for tol = 1e-12, but 1.48 and 1.21 for tol = 1e-13.
 _MU_TOL_FLOOR = 1e-12
 
 
@@ -195,11 +195,12 @@ def _mu_cached(d: int, kappa: float, tol: float) -> float:
         if kappa >= gz:
             return 0.0
     quad_tol = min(1e-12, 0.01 * tol)
+    # memoized per root-find: the sign test and brentq share f(lo)
+    f = cache(lambda m: _resolvent_minus_one(d, kappa, m, quad_tol))
     lo, hi = 0.5 * tol, 1.0 + 4.0 * d * kappa
-    if _resolvent_minus_one(d, kappa, lo, quad_tol) < 0.0:
+    if f(lo) < 0.0:
         return 0.5 * lo  # root below the resolution floor; equivalent to 0 at tol
-    root = brentq(lambda m: _resolvent_minus_one(d, kappa, m, quad_tol),
-                  lo, hi, xtol=0.5 * tol, rtol=4 * np.finfo(float).eps)
+    root = brentq(f, lo, hi, xtol=0.5 * tol, rtol=4 * np.finfo(float).eps)
     # the root-find's error may overshoot the theorem bound mu <= 1 at tiny kappa
     return min(root, 1.0)
 
@@ -231,7 +232,8 @@ def _mu_inverse_cached(d: int, t: float, tol: float) -> float:
         raise ValueError(
             f"mu_inverse(d={d}, 0) diverges: G_d(0) is infinite for d <= 2")
     quad_tol = min(1e-12, 0.01 * tol)
-    f = lambda k: _resolvent_minus_one(d, k, t, quad_tol)
+    # memoized per root-find: the bracket tests and brentq share f(lo), f(hi)
+    f = cache(lambda k: _resolvent_minus_one(d, k, t, quad_tol))
     if d >= 3:
         hi = greens.green_zero(d, min(tol, 1e-10)).value
         if t == 0.0 or f(hi) > 0.0:

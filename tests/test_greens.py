@@ -13,6 +13,8 @@ from itertools import combinations_with_replacement, product
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import erf, i0e, ive
 
@@ -172,6 +174,76 @@ def test_certified_integral_non_strict():
     assert abs(value - ref) <= err + ref_err
     with pytest.raises(ValueError, match="diverges"):
         greens._certified_integral(ks, 1, 0.0, 1e-9)
+
+
+def per_call_integral(ks, weight, nu, tol):
+    """The oracle for _certified_integral's shared node tables: the same
+    horizon, tail and certificate, with panels graded at the exact nu and
+    nodes and integrand built on every call; non-strict."""
+    T, mid, half = greens._horizon(ks, weight, nu, tol)
+    edges = greens._edges(0.25 / (len(ks) + nu + 1.0), T)
+    orders = sorted(Counter(ks).items())
+
+    def head(nodes):
+        t, w = greens._panel_nodes(edges, nodes)
+        f = math.prod((i0e(2.0 * t) if k == 0 else ive(k, 2.0 * t)) ** mult
+                      for k, mult in orders)
+        if weight:
+            f = f * t ** weight
+        if nu:
+            f = f * np.exp(-nu * t)
+        return float(np.dot(w, f))
+
+    for lo, hi in ((32, 48), (64, 96), (96, 144)):
+        h_lo, h_hi = head(lo), head(hi)
+        value = h_hi + mid
+        err = abs(h_hi - h_lo) + half + 1e-15 * (1.0 + abs(value))
+        if err <= tol:
+            break
+    return value, err
+
+
+# (d, w) = (1, 1) and (2, 1) are left out: their tail powers t^{w - d/2}
+# (sigma < 1/2) are outside _tail_power_err, on either route
+@pytest.mark.parametrize("d, weight", [(1, 0), (2, 0), (3, 0), (3, 1), (5, 0), (5, 1)])
+def test_shared_tables_agree_with_the_per_call_heads(d, weight):
+    # a log grid over the nu that spectral.mu and mu_inverse reach, at their
+    # quadrature tol; both routes are certified, so their brackets overlap
+    for nu in np.logspace(-10, 11, 43):
+        value, err = greens._certified_integral((0,) * d, weight, nu, 1e-12, strict=False)
+        want, want_err = per_call_integral((0,) * d, weight, nu, 1e-12)
+        assert abs(value - want) <= err + want_err, nu
+
+
+@pytest.mark.parametrize("ks, weight", [((0, 0, 0), 0), ((0,) * 5, 0), ((0,) * 5, 1),
+                                        ((0, 0, 0, 1, 2), 0), ((1, 2, 3), 0)])
+def test_shared_tables_keep_every_operation_at_nu_zero(ks, weight):
+    assert greens._nu_grade(0.0) == 0.0
+    assert greens._certified_integral(ks, weight, 0.0, 1e-9) == \
+        per_call_integral(ks, weight, 0.0, 1e-9)
+
+
+@settings(max_examples=300, deadline=None)
+@given(nu=st.floats(min_value=5e-324, max_value=2.0 ** 1023)
+       | st.integers(-1074, 1023).map(lambda e: math.ldexp(1.0, e)))
+@example(nu=0.3)
+@example(nu=1e11)
+@example(nu=1.0)
+@example(nu=2.0 ** 1023)
+def test_nu_grade_is_the_next_power_of_two(nu):
+    grade = greens._nu_grade(nu)
+    assert math.frexp(grade)[0] == 0.5
+    if math.frexp(nu)[0] == 0.5:
+        assert grade == nu
+    else:
+        assert nu < grade < 2.0 * nu
+
+
+def test_head_tables_are_read_only():
+    t, w, f = greens._head_table(((0, 3),), 0, 1.0, 60.0, 32)
+    for a in (t, w, f):
+        with pytest.raises(ValueError):
+            a[0] = 0.0
 
 
 # (value, abs_error) recorded before the three quadrature loops were merged

@@ -3,6 +3,8 @@ import csv
 import json
 import math
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -456,3 +458,24 @@ def test_sweep_rejects_bad_solver_inputs_before_writing(tmp_path, bad):
     with pytest.raises(ValueError):
         sweep(out=str(out), **args)
     assert not out.exists()
+
+
+def test_mu_values_do_not_depend_on_the_node_tables_held(tmp_path):
+    # greens._head_table is a pure function of its key, so the values
+    # computed cold equal those computed after the phase-certify grid has
+    # filled and cycled its 16 entries
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    proc = subprocess.run(
+        [sys.executable, "-c", "from pamlab.spectral import mu, mu_inverse; "
+                               "print(repr([mu(3, 0.1), mu_inverse(3, 0.4)]))"],
+        capture_output=True, text=True, timeout=300, env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0, proc.stderr
+    # the d=5 window first: its tables would evict every d=3 one
+    rho = 0.2 * greens.green_zero(5).value
+    kappa_bounds(5, 1, 1, rho)
+    kappa_bounds(5, 1, 2, rho)
+    sweep(3, 1, [1, 2], [0.02, 0.05, 0.08, 0.12, 0.16, 0.2, 0.25, 0.3],
+          [0.02, 0.05, 0.1, 0.15], str(tmp_path / "grid.csv"), radii=[1])
+    spectral._mu_cached.cache_clear()
+    spectral._mu_inverse_cached.cache_clear()
+    assert repr([mu(3, 0.1), mu_inverse(3, 0.4)]) == proc.stdout.strip()

@@ -329,13 +329,13 @@ def test_mu_inverse_round_trip_property(d, t):
     assert abs(mu(d, mu_inverse(d, t)) - t) <= 1e-8
 
 
-# recorded before the Bessel quadrature loops were merged into one core,
-# which keeps every floating-point operation of the d-fold i0e integrand
-_MU_RECORDED = {(1, 0.1): 0.8198039027185571, (1, 0.75): 0.3027756377407484,
-                (2, 0.25): 0.26146954170894066, (3, 0.1): 0.46194071806701825,
-                (3, 0.25): 0.00029148134311031057, (5, 0.1): 0.10981329561035347}
-_MU_INVERSE_RECORDED = {(1, 0.3): 0.7583333333356097, (2, 0.5): 0.147049320921407,
-                        (3, 0.1): 0.19279692011777108, (3, 0.9): 0.01695436558593974,
+# re-recorded once when the quadrature head moved to shared node tables
+# graded at greens._nu_grade(nu), which moved these by 1-9 ulps
+_MU_RECORDED = {(1, 0.1): 0.8198039027185571, (1, 0.75): 0.3027756377407485,
+                (2, 0.25): 0.2614695417089407, (3, 0.1): 0.46194071806701803,
+                (3, 0.25): 0.0002914813431103043, (5, 0.1): 0.10981329561035334}
+_MU_INVERSE_RECORDED = {(1, 0.3): 0.7583333333356096, (2, 0.5): 0.14704932092140702,
+                        (3, 0.1): 0.19279692011777114, (3, 0.9): 0.016954365585939685,
                         (5, 0.5): 0.05285208496769167}
 
 
@@ -357,6 +357,26 @@ def test_mu_inverse_never_calls_mu(monkeypatch):
             assert 0.0 < uncached(d, t, 1e-10) < math.inf
     assert uncached(3, 0.0, 1e-10) == greens.green_zero(3, 1e-10).value
     assert uncached(1, 1.0, 1e-10) == 0.0
+
+
+def test_each_root_find_evaluates_each_point_once(monkeypatch):
+    # the bracket ends' sign tests and brentq's first two calls share one
+    # quadrature each, and those are a root-find's costliest: T = 15,360
+    # near nu = 1e-9, 3,744-node heads near nu = 1e11
+    seen = []
+    real = spectral._resolvent_minus_one
+
+    def counted(d, kappa, m, quad_tol):
+        seen.append((kappa, m))
+        return real(d, kappa, m, quad_tol)
+
+    monkeypatch.setattr(spectral, "_resolvent_minus_one", counted)
+    runs = [(spectral._mu_cached, d, 0.1) for d in (1, 3, 5)] + \
+        [(spectral._mu_inverse_cached, d, t) for d, t in ((1, 0.3), (2, 0.5), (3, 0.6))]
+    for cached, d, arg in runs:
+        seen.clear()
+        cached.__wrapped__(d, arg, 1e-10)
+        assert len(seen) > 2 and len(set(seen)) == len(seen), (cached, d, arg)
 
 
 # ---------------------------------------------------------------------------
@@ -1230,18 +1250,22 @@ def test_f0_pins_hold_under_each_blas_thread_count(threads):
 @pytest.mark.parametrize("threads", ["1", "2"])
 def test_quadrature_values_hold_under_each_blas_thread_count(threads):
     # the head of greens._certified_integral sums with np.dot, BLAS ddot,
-    # which splits its partial sums by thread once the vectors are long
+    # which splits its partial sums by thread once the vectors are long;
+    # mu_inverse(3, 0.6) builds the phase-certify sweep's largest node
+    # table, 3,744 nodes at nu_grade = 2^37
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     code = ("import json; from pamlab import greens, spectral; "
             "gs = [greens.green_zero(3), greens.alpha(5), greens.green_at(3, (1, 2, 3))]; "
             "print(json.dumps([[g.value, g.abs_error] for g in gs] "
-            "+ [spectral.mu(3, 0.1), spectral.mu_inverse(3, 0.4)]))")
+            "+ [spectral.mu(3, 0.1), spectral.mu_inverse(3, 0.4), "
+            "spectral.mu_inverse(3, 0.6)]))")
     proc = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, timeout=300,
         env=dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads))
     assert proc.returncode == 0, proc.stderr
     gs = [greens.green_zero(3), greens.alpha(5), greens.green_at(3, (1, 2, 3))]
-    here = [[g.value, g.abs_error] for g in gs] + [mu(3, 0.1), mu_inverse(3, 0.4)]
+    here = [[g.value, g.abs_error] for g in gs] + [mu(3, 0.1), mu_inverse(3, 0.4),
+                                                   mu_inverse(3, 0.6)]
     assert json.loads(proc.stdout) == here
 
 

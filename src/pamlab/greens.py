@@ -59,6 +59,7 @@ spectral._quotient builds its frame-box orbits from _multisets too.
 from __future__ import annotations
 
 import math
+import operator
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
@@ -388,7 +389,9 @@ def _certified_integral(ks: Sequence[int], weight: int, nu: float, tol: float,
                         strict: bool = True) -> Tuple[float, float]:
     """(value, abs_error) for int_0^inf t^w e^{-nu t} prod_i ive(k_i, 2t) dt.
 
-    The integral must converge: nu > 0, or len(ks)/2 - w > 1.  The head [0,T]
+    The tail bracket needs sigma = len(ks)/2 - w >= 1/2, and the integral
+    must converge: nu > 0, or sigma > 1.  Outside that domain it raises
+    ValueError.  The head [0,T]
     is Gauss-Legendre on graded panels (_head_table, graded for
     _nu_grade(nu)), certified by the spread between two node counts; the
     tail [T,inf) is the envelope bracket at the exact nu.  With strict=False
@@ -396,7 +399,11 @@ def _certified_integral(ks: Sequence[int], weight: int, nu: float, tol: float,
     for callers that only need the value up to a self-reported error (e.g.
     sign queries far from a root).
     """
-    if nu <= 0.0 and 0.5 * len(ks) - weight <= 1.0:
+    sigma = 0.5 * len(ks) - weight
+    if sigma < 0.5:
+        raise ValueError(
+            f"the tail bracket needs len(ks)/2 - weight >= 1/2, got {sigma}")
+    if nu <= 0.0 and sigma <= 1.0:
         raise ValueError("integral diverges")
     T, mid, half = _horizon(ks, weight, nu, tol)
     orders = tuple(sorted(Counter(ks).items()))
@@ -546,11 +553,15 @@ def _green_at_cached(d: int, ks: Tuple[int, ...], tol: float) -> GreenEstimate:
 
 
 def green_at(d: int, x: Sequence[int], tol: float = 1e-9) -> GreenEstimate:
-    """G_d(x) for a lattice site x, via the per-coordinate Bessel factorization."""
+    """G_d(x) for a lattice site x, via the per-coordinate Bessel factorization.
+
+    The coordinates must be integers (operator.index): a float such as 1.5
+    or 2.0 is refused with TypeError, not truncated.
+    """
     if d <= 2:
         raise ValueError(f"G_d(x) diverges for d={d} <= 2")
     _check_tol(tol)
-    x = tuple(int(c) for c in x)
+    x = tuple(operator.index(c) for c in x)
     if len(x) != d:
         raise ValueError(f"site has {len(x)} coordinates, expected d={d}")
     ks = tuple(sorted(abs(c) for c in x))

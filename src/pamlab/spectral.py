@@ -24,15 +24,16 @@ H_k's off-diagonals are H_0's times phases:
 
     theta_full(R) <= theta_frame(2R) <= sup spec H_0 <= p * lambda_p.
 
-The frame box is not solved whole.  H_0 on it commutes with the group
+No box is solved whole.  H_0 on the frame box commutes with the group
 G = S_p x S_{n-1} x B_d: permutations of the walker blocks, permutations of
 the catalyst blocks k >= 2, and the 2^d d! signed axis permutations B_d
-applied to every block at once.  Each g in G acts as a permutation matrix.
-H_0 + shift is symmetric with non-negative entries, so by Perron-Frobenius
-it has a non-negative top eigenvector v, and sum_g g v is a non-zero,
-non-negative, G-invariant top eigenvector, even where H_0 is reducible
-(kappa = 0, or rho = 0 with n >= 2).  The top eigenvalue is therefore that
-of the quotient on the orbit basis e_O = 1_O / sqrt|O|,
+applied to every block at once; L_p on the full box, with S_p x S_n x B_d.
+Each g in G acts as a permutation matrix.  H_0 + shift is symmetric with
+non-negative entries, so by Perron-Frobenius it has a non-negative top
+eigenvector v, and sum_g g v is a non-zero, non-negative, G-invariant top
+eigenvector, even where H_0 is reducible (kappa = 0, or rho = 0 with
+n >= 2).  The top eigenvalue is therefore that of the quotient on the orbit
+basis e_O = 1_O / sqrt|O|,
 
     Q[O, O'] = sqrt(|O| / |O'|) * sum_{y in O'} H_0(x_O, y),
 
@@ -41,12 +42,12 @@ box at d=3, p=2, n=1, R=1).  For f = sum_O c_O e_O, ||f|| = ||c||,
 <f, H_0 f> = <c, Q c> and ||H_0 f - theta f|| = ||Q c - theta c||, so a
 quotient Ritz value is a Rayleigh quotient of H_0, a certified lower bound
 with the same residual certificate.  The orbits and the hop counts between
-them depend only on (d, p, n, radius) and are built once per box shape, with
-no site loop: up to B_d a frame site is the sorted multiset of its d axis
-columns taken up to sign, which greens._multisets enumerates.
+them depend only on the box shape and are built once per shape, with no
+site loop: up to B_d a site is the sorted multiset of its d axis columns
+taken up to sign, which greens._multisets enumerates.
 
-top_eigen keeps the full operator: it is the small-box oracle, the base of
-tensor_gap, and the route on which the swap symmetry
+top_eigen solves the full box on its sector the same way: it is the base
+of tensor_gap, and the route on which the swap symmetry
 lambda_p^(n)(kappa, rho) = (n/p) lambda_n^(p)(rho, kappa) is exact per box.
 
 mu(kappa) is the top of the spectrum of kappa*Delta + delta_0 on l^2(Z^d):
@@ -145,7 +146,7 @@ class LyapunovEstimate:
     radius: int | None = None
     converged: bool = True
     solver: str | None = None    # "dense" | "arpack"
-    dim: int | None = None       # unknowns solved: orbits (lambda_spectral) or sites
+    dim: int | None = None       # unknowns solved: orbits of the box's sector
     matvecs: int | None = None   # operator applications, dense assembly included
 
 
@@ -311,35 +312,29 @@ def apply_generator(params: PamParams, f: Field) -> Field:
     return Field(f.box, out)
 
 
-def _apply_flat(params: PamParams, box: Box, v: np.ndarray,
-                shift: float = 0.0) -> np.ndarray:
-    """L_p v (+ shift v) on the full box, with v flat in F order, or L_p
-    applied to each column of a (sites, k) block v; every column's result
-    is the same to the last bit as applying L_p to that column alone."""
-    ip = _collision_counts(params.d, params.p, params.n, box.radius)
-    if v.ndim == 2:
-        ip = ip[:, None]
-    out = (ip + shift) * v if shift else ip * v
-    g = v.reshape(box.shape + v.shape[1:], order="F")
+def _apply_flat(params: PamParams, box: Box, v: np.ndarray) -> np.ndarray:
+    """L_p v on the full box, with v flat in F order."""
+    out = _collision_counts(params.d, params.p, params.n, box.radius) * v
+    g = v.reshape(box.shape, order="F")
     walkers = params.d * params.p    # the axes of x_1..x_p come first
     for rate, axes in ((params.kappa, range(walkers)), (params.rho, range(walkers, box.m))):
         if rate:
-            out += rate * lap_grid(g, axes).reshape(v.shape, order="F")
+            out += rate * lap_grid(g, axes).reshape(-1, order="F")
     return out
 
 
 # ---------------------------------------------------------------------------
-# the frame operator on its symmetric sector
+# the box operators on their symmetric sectors
 # ---------------------------------------------------------------------------
 
 def _orbit_keys(z: np.ndarray, p: int, radius: int) -> np.ndarray:
-    """A label of each site's orbit under S_p x S_{n-1} x B_d.
+    """A label of each site's orbit under S_p x S_c x B_d.
 
-    z has shape (sites, p+n-1, d): walker blocks, then catalysts k >= 2.
+    z has shape (sites, p+c, d): walker blocks, then c catalyst blocks.
     The label is the minimum over the group of an encoding of the image,
     read as base-(2*radius+1) digits of z + radius that run axis by axis,
     each axis's column block by block.  The function enumerates the
-    p!(n-1)! block orders: for each, the smaller of each column and its
+    p! c! block orders: for each, the smaller of each column and its
     negation, sorted, is the minimum over B_d.
     """
     sites, blocks, d = z.shape
@@ -363,13 +358,14 @@ def _orbit_keys(z: np.ndarray, p: int, radius: int) -> np.ndarray:
 
 
 class _Quotient(NamedTuple):
-    """The frame operator's parts on the orbit basis e_O = 1_O / sqrt|O|.
+    """A box operator's parts on the orbit basis e_O = 1_O / sqrt|O|.
 
     kappa_hops and rho_hops hold the hop counts between orbits,
     sum_{x in O, y in O'} A(x, y) / sqrt(|O| |O'|), of the walker hops and
     of the catalyst and diagonal hops; collisions holds I_p on each orbit.
     """
 
+    labels: np.ndarray         # each orbit's _orbit_keys label, ascending
     sizes: np.ndarray
     collisions: np.ndarray
     kappa_hops: sparse.csr_matrix
@@ -378,8 +374,10 @@ class _Quotient(NamedTuple):
 
 
 @lru_cache(maxsize=8)
-def _quotient(d: int, p: int, n: int, radius: int) -> _Quotient:
-    """Orbits of the radius frame box and the operator's parts between them.
+def _quotient(d: int, p: int, n: int, radius: int, frame: bool) -> _Quotient:
+    """Orbits of the radius frame box (p+n-1 blocks; catalyst 1 at z = 0,
+    its moves diagonal hops) or full box (p+n blocks), and the operator's
+    parts between them.
 
     A site is d columns, each coding one axis in every block base
     L = 2*radius+1 as in _orbit_keys.  greens._multisets(d, half) lists its
@@ -387,8 +385,8 @@ def _quotient(d: int, p: int, n: int, radius: int) -> _Quotient:
     _orbit_keys merges them into orbits of G.  The hops are read off one
     representative per orbit: x in O has as many neighbours in O' as x_O.
     """
-    blocks = p + n - 1
-    build_box(d * blocks, radius)    # the frame box must stay within lattice.MAX_SITES
+    blocks = p + n - 1 if frame else p + n
+    build_box(d * blocks, radius)    # the box must stay within lattice.MAX_SITES
     L = 2 * radius + 1
     half = (L ** blocks - 1) // 2
     cols, mult = greens._multisets(d, half)
@@ -400,7 +398,8 @@ def _quotient(d: int, p: int, n: int, radius: int) -> _Quotient:
     z = reps[first]
 
     walkers = z[:, :p, None, :]
-    others = np.concatenate((np.zeros_like(z[:, :1]), z[:, p:]), axis=1)[:, None]
+    # the catalysts; in the frame, catalyst 1 is a zero block before the rest
+    others = np.concatenate((np.zeros_like(z[:, :frame]), z[:, p:]), axis=1)[:, None]
     collisions = (walkers == others).all(axis=3).sum(axis=(1, 2)).astype(np.float64)
 
     def hops(steps):
@@ -428,10 +427,11 @@ def _quotient(d: int, p: int, n: int, radius: int) -> _Quotient:
         return step
 
     kappa_hops = hops([unit([(j, i)]) for j in range(p) for i in range(d)])
+    # catalyst hops, and in the frame catalyst 1's diagonal ones
     rho_hops = hops([unit([(k, i)]) for k in range(p, blocks) for i in range(d)]
-                    + [unit([(b, i) for b in range(blocks)]) for i in range(d)])
+                    + [unit([(b, i) for b in range(blocks)]) for i in range(d * frame)])
     center = int(which[0])    # row 0, the all-zero multiset, is the site z = 0
-    return _Quotient(sizes, collisions, kappa_hops, rho_hops, center)
+    return _Quotient(labels, sizes, collisions, kappa_hops, rho_hops, center)
 
 
 # ---------------------------------------------------------------------------
@@ -447,15 +447,8 @@ class _Solution(NamedTuple):
     matvecs: int
 
 
-def _start_vector(box: Box) -> np.ndarray:
-    v = np.full(box.size, 1e-3)
-    v[(box.size - 1) // 2] += 1.0  # the all-zero configuration is the center index
-    return v / np.linalg.norm(v)
-
-
-# At most this many unknowns (orbits for lambda_spectral, sites for
-# top_eigen) are solved densely, on the assembled matrix; larger problems
-# go to ARPACK.  The measured crossover on a 2-core Xeon: per solve, syevr
+# At most this many unknowns (orbits) are solved densely, on the assembled
+# matrix; larger problems go to ARPACK.  The measured crossover on a 2-core Xeon: per solve, syevr
 # on the assembled matrix is faster up to 225 unknowns (2.9 ms against
 # ARPACK's 3.4 ms) and slower from 241 (5.3 ms against 2.9 ms), where its
 # O(size^3) reduction passes ARPACK's 42-62 sparse products.
@@ -550,12 +543,11 @@ def _one_blas_thread():
         set_threads(previous)
 
 
-def _top_pair(A, v0: np.ndarray, tol: float, scale: float) -> _Solution:
-    """Top eigenpair of the symmetric operator A (a sparse matrix or a
-    LinearOperator); converged means residual ||A v - theta v||_2 <= tol,
-    and scale bounds ||A||.
+def _top_pair(A: sparse.csr_matrix, v0: np.ndarray, tol: float, scale: float) -> _Solution:
+    """Top eigenpair of the symmetric sparse matrix A; converged means
+    residual ||A v - theta v||_2 <= tol, and scale bounds ||A||.
 
-    At most _DENSE_CUTOFF unknowns, A is assembled in one product A @ I and
+    At most _DENSE_CUTOFF unknowns, A is made dense in one product A @ I and
     LAPACK's MRRR driver (syevr) computes its top eigenpair alone, at the
     cost of size + 1 operator applications.  syevr runs on one OpenBLAS
     thread (_one_blas_thread), so its value does not depend on the BLAS
@@ -640,6 +632,24 @@ def _certified(params: PamParams, R: int, shift: float, sol: _Solution,
     return est
 
 
+def _sector_top(params: PamParams, R: int, tol: float,
+                frame: bool) -> tuple[LyapunovEstimate, np.ndarray]:
+    """(1/p) * top eigenvalue, and orbit eigenvector, of the frame box of
+    radius 2R or the full radius-R box, on its symmetric sector."""
+    d, n, p = params.d, params.n, params.p
+    q = _quotient(d, p, n, 2 * R if frame else R, frame)
+    shift = _shift(params)
+    # the Dirichlet diagonal -2 d (p kappa + n rho), plus I_p and the shift
+    diagonal = q.collisions + (shift - 2.0 * d * (p * params.kappa + n * params.rho))
+    Q = (params.kappa * q.kappa_hops + params.rho * q.rho_hops
+         + sparse.diags(diagonal)).tocsr()
+    # the box's start vector, 1e-3 plus 1 at z = 0, on the orbit basis
+    v0 = 1e-3 * np.sqrt(q.sizes)
+    v0[q.center] += 1.0
+    sol = _top_pair(Q, v0 / np.linalg.norm(v0), tol, _scale(params, shift))
+    return _certified(params, R, shift, sol, tol), sol.vec
+
+
 def top_eigen(params: PamParams, R: int, tol: float = 1e-8) -> LyapunovEstimate:
     """(1/p) * top Dirichlet eigenvalue of L_p on the radius-R box.
 
@@ -647,35 +657,7 @@ def top_eigen(params: PamParams, R: int, tol: float = 1e-8) -> LyapunovEstimate:
     the best iterate attached) if the residual ||L v - theta v||_2 does not
     reach tol.
     """
-    est, _ = _top_eigen_vec(params, R, tol)
-    return est
-
-
-def _top_eigen_vec(params: PamParams, R: int, tol: float) -> tuple[LyapunovEstimate, np.ndarray]:
-    """Top eigenpair of L_p on the full radius-R box."""
-    box = build_box(params.m, R)
-    shift = _shift(params)
-    apply = lambda v: _apply_flat(params, box, v, shift)
-    A = LinearOperator((box.size, box.size), matvec=apply, matmat=apply, dtype=np.float64)
-    sol = _top_pair(A, _start_vector(box), tol, _scale(params, shift))
-    return _certified(params, R, shift, sol, tol), sol.vec
-
-
-def _quotient_top(params: PamParams, R: int, tol: float) -> LyapunovEstimate:
-    """(1/p) * top eigenvalue of the frame box of radius 2R, solved on the
-    functions invariant under S_p x S_{n-1} x B_d (module docstring)."""
-    d, n, p = params.d, params.n, params.p
-    q = _quotient(d, p, n, 2 * R)
-    shift = _shift(params)
-    # the Dirichlet diagonal -2 d (p kappa + n rho), plus I_p and the shift
-    diagonal = q.collisions + (shift - 2.0 * d * (p * params.kappa + n * params.rho))
-    Q = (params.kappa * q.kappa_hops + params.rho * q.rho_hops
-         + sparse.diags(diagonal)).tocsr()
-    # the start vector of the full frame box, projected on the orbit basis
-    v0 = 1e-3 * np.sqrt(q.sizes)
-    v0[q.center] += 1.0
-    sol = _top_pair(Q, v0 / np.linalg.norm(v0), tol, _scale(params, shift))
-    return _certified(params, R, shift, sol, tol)
+    return _sector_top(params, R, tol, frame=False)[0]
 
 
 def lambda_spectral(params: PamParams, radii: Sequence[int],
@@ -703,7 +685,7 @@ def lambda_spectral(params: PamParams, radii: Sequence[int],
     out = []
     for R in radii:
         try:
-            out.append(_quotient_top(params, R, tol))
+            out.append(_sector_top(params, R, tol, frame=True)[0])
         except ConvergenceError as exc:
             prev = max(out, key=lambda e: e.value, default=exc.best)
             if prev.value <= exc.best.value:
@@ -738,13 +720,19 @@ def tensor_gap(params: PamParams, R: int, tol: float = 1e-10) -> TensorGap:
 
     which holds exactly for an exact box eigenfunction (completing the square
     in the y-Laplacian cross term).  Certifies lambda_2 >= lambda_1 + gap on
-    the box.  Requires p = 1.
+    the box.  Requires p = 1, and a p=2 box within lattice.MAX_SITES.
     """
     if params.p != 1:
         raise ValueError(f"tensor_gap needs p=1 parameters, got p={params.p}")
-    est, vec = _top_eigen_vec(params, R, tol)
     d, n = params.d, params.n
+    params2 = PamParams(d=d, n=n, p=2, kappa=params.kappa, rho=params.rho)
+    box2 = build_box(params2.m, R)      # before the solve and before f~
+    est, c = _sector_top(params, R, tol, frame=False)
     L = 2 * R + 1
+    q = _quotient(d, 1, n, R, False)    # scatter c to the sites, in F order
+    z = np.indices((L,) * params.m).reshape(params.m, -1, order="F").T
+    which = q.labels.searchsorted(_orbit_keys(z.reshape(-1, 1 + n, d) - R, 1, R))
+    vec = c[which] / np.sqrt(q.sizes[which])
     A = L ** d          # x-block size
     Y = L ** (d * n)    # y-block size
     M = vec.reshape((A, Y), order="F")
@@ -774,8 +762,7 @@ def tensor_gap(params: PamParams, R: int, tol: float = 1e-10) -> TensorGap:
 
     # independent route: materialize f~ and apply the p=2 operator
     f2 = np.einsum("ay,by->aby", M, M).reshape(-1, order="F")
-    params2 = PamParams(d=d, n=n, p=2, kappa=params.kappa, rho=params.rho)
-    lf2 = _apply_flat(params2, build_box(params2.m, R), f2)
+    lf2 = _apply_flat(params2, box2, f2)
     rayleigh2 = float(np.dot(f2, lf2)) / (2.0 * norm_sq)
 
     lam1 = est.value

@@ -176,6 +176,14 @@ def test_certified_integral_non_strict():
         greens._certified_integral(ks, 1, 0.0, 1e-9)
 
 
+@pytest.mark.parametrize("ks, weight", [((0,), 1), ((0, 0), 1), ((0, 0, 0), 2)])
+def test_certified_integral_refuses_tails_it_cannot_bracket(ks, weight):
+    # nu > 0 makes these integrals converge, but the tail bracket needs
+    # len(ks)/2 - weight >= 1/2: refused up front, not deep in the tail
+    with pytest.raises(ValueError, match=r"len\(ks\)/2 - weight >= 1/2"):
+        greens._certified_integral(ks, weight, 0.5, 1e-9)
+
+
 def per_call_integral(ks, weight, nu, tol):
     """The oracle for _certified_integral's shared node tables: the same
     horizon, tail and certificate, with panels graded at the exact nu and
@@ -394,6 +402,14 @@ def test_green_at_validation():
         green_at(3, (1, 1))       # wrong coordinate count
     with pytest.raises(ValueError):
         green_at(3, (0, 0, 0), tol=0.0)
+
+
+def test_green_at_refuses_non_integer_sites():
+    # a float coordinate is refused, not truncated to G_3(1, 0, 0)
+    for site in ((1.5, 0, 0), (np.float64(2.0), 0, 0)):
+        with pytest.raises(TypeError):
+            green_at(3, site)
+    assert green_at(3, (np.int64(2), 0, 0)) == green_at(3, (2, 0, 0))
 
 
 # ---------------------------------------------------------------------------

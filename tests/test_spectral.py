@@ -5,8 +5,9 @@ the explicit resolvent integral), the nested root-find route to mu_inverse,
 a naive site-by-site implementation of the operator, dense diagonalization
 on tiny boxes, the column-by-column matrix and its full spectrum for the
 dense top-pair solve, the brute-force minimum over the symmetry group for
-the orbit labels, the labelling of every frame-box site for the enumerated
-orbits, and the whole catalyst-frame box for its symmetric sector.
+the orbit labels, the labelling of every box site for the enumerated
+orbits, the whole catalyst-frame box for its symmetric sector, and the
+site-space solve of the whole full box for top_eigen's sector.
 """
 import ctypes
 import glob
@@ -26,7 +27,7 @@ from hypothesis import strategies as st
 from scipy import sparse
 from scipy.integrate import quad
 from scipy.optimize import brentq
-from scipy.sparse.linalg import eigsh
+from scipy.sparse.linalg import LinearOperator, eigsh
 
 from pamlab import greens, phase, spectral
 from pamlab.lattice import (
@@ -55,7 +56,7 @@ from pamlab.spectral import (
     _apply_flat,
     _orbit_keys,
     _quotient,
-    _quotient_top,
+    _sector_top,
 )
 
 from lattice_helpers import box_site, delta_field
@@ -136,24 +137,27 @@ def site_coords(flat: np.ndarray, d: int, blocks: int, radius: int) -> np.ndarra
     return np.stack(digits, axis=1).reshape(-1, blocks, d) - radius
 
 
-def frame_collisions(z: np.ndarray, p: int) -> np.ndarray:
-    """I_p at frame sites z: the walkers that sit on catalyst 1 (z = 0) or
-    on a catalyst k >= 2."""
-    others = np.concatenate((np.zeros_like(z[:, :1]), z[:, p:]), axis=1)
+def frame_collisions(z: np.ndarray, p: int, frame: bool = True) -> np.ndarray:
+    """I_p at sites z: the walkers that sit on a catalyst block, and in the
+    frame also on catalyst 1 (z = 0)."""
+    others = z[:, p:]
+    if frame:
+        others = np.concatenate((np.zeros_like(z[:, :1]), others), axis=1)
     return (z[:, :p, None, :] == others[:, None]).all(axis=3).sum(axis=(1, 2))
 
 
-def frame_matrix(params: PamParams, radius: int) -> sparse.csr_matrix:
+def frame_matrix(params: PamParams, radius: int, frame: bool = True) -> sparse.csr_matrix:
     """The operator H_0 in the frame of catalyst 1 on the frame box of this
-    radius, as a sparse matrix over F-order site indices.
+    radius, or L_p on the full box (frame=False), as a sparse matrix over
+    F-order site indices.
 
     Each hop is T + T^T - 2 I, where T is the Kronecker product over the box
     axes of the 1-D Dirichlet shift (on the axes the hop moves) or the
-    identity: a walker or catalyst k >= 2 moves one block axis, and a
+    identity: a walker or catalyst moves one block axis, and in the frame a
     catalyst-1 move shifts axis i of every block at once.
     """
     d, n, p = params.d, params.n, params.p
-    blocks = p + n - 1
+    blocks = p + n - 1 if frame else p + n
     m = d * blocks
     L = 2 * radius + 1
     step, stay = sparse.eye(L, k=1, format="csr"), sparse.identity(L, format="csr")
@@ -167,9 +171,9 @@ def frame_matrix(params: PamParams, radius: int) -> sparse.csr_matrix:
     H = sparse.csr_matrix((L ** m, L ** m))
     for a in range(m):
         H = H + (params.kappa if a < d * p else params.rho) * hop({a})
-    for i in range(d):
+    for i in range(d if frame else 0):
         H = H + params.rho * hop(set(range(i, m, d)))
-    collisions = frame_collisions(site_coords(np.arange(L ** m), d, blocks, radius), p)
+    collisions = frame_collisions(site_coords(np.arange(L ** m), d, blocks, radius), p, frame)
     return (H + sparse.diags(collisions.astype(np.float64))).tocsr()
 
 
@@ -181,6 +185,35 @@ def frame_top(params: PamParams, radius: int) -> float:
     else:
         theta = eigsh(H, k=1, which="LA", return_eigenvectors=False)[0]
     return float(theta) / params.p
+
+
+def site_start_vector(box: Box) -> np.ndarray:
+    """1e-3 at every site plus 1 at the all-zero site, normalized: the start
+    vector top_eigen's sector solve projects on the orbits."""
+    v = np.full(box.size, 1e-3)
+    v[(box.size - 1) // 2] += 1.0    # the middle F-order index is the all-zero site
+    return v / np.linalg.norm(v)
+
+
+def site_top(params: PamParams, R: int) -> float:
+    """(1/p) * the top eigenvalue of L_p on the whole radius-R box, solved in
+    site space: the oracle for top_eigen's sector route.  Up to 2,000 sites
+    the matrix is assembled one unit vector at a time and fully
+    diagonalized; larger boxes go to ARPACK at machine precision on the
+    stencil operator, from site_start_vector."""
+    box = build_box(params.m, R)
+    shift = spectral._shift(params)
+
+    def apply(v):
+        return _apply_flat(params, box, np.ravel(v)) + shift * np.ravel(v)
+
+    if box.size <= 2000:
+        theta = np.linalg.eigvalsh(np.column_stack([apply(e) for e in np.eye(box.size)]))[-1]
+    else:
+        A = LinearOperator((box.size, box.size), matvec=apply, dtype=np.float64)
+        theta = eigsh(A, k=1, which="LA", v0=site_start_vector(box),
+                      return_eigenvectors=False)[0]
+    return (float(theta) - shift) / params.p
 
 
 # ---------------------------------------------------------------------------
@@ -600,11 +633,11 @@ def test_dense_path_certifies_residual():
     assert err.residual > 1e-16
     assert err.best.value == pytest.approx(math.sqrt(2.0) - 1.0, abs=1e-8)
     with pytest.raises(ConvergenceError):
-        top_eigen(params, 2, 1e-16)      # 25-site full box
+        top_eigen(params, 2, 1e-16)      # 25-site full box, 13 orbits
 
 
 @pytest.mark.parametrize("solve", [
-    lambda params, tol: top_eigen(params, 20, tol),            # 1,681 sites
+    lambda params, tol: top_eigen(params, 20, tol),            # 841 orbits
     lambda params, tol: lambda_spectral(params, [400], tol),   # 801 orbits
 ], ids=["top_eigen", "quotient"])
 def test_krylov_path_returns_arpack_pair_unconverged(solve):
@@ -619,15 +652,17 @@ def test_krylov_path_returns_arpack_pair_unconverged(solve):
 
 def test_arpack_failure_reports_the_start_vector(monkeypatch):
     # ARPACK converges no Ritz value here; the best iterate is then the
-    # Rayleigh quotient of the start vector, one operator application more
+    # Rayleigh quotient of the start vector, one operator application more.
+    # The site start vector is invariant, so its projection on the orbits
+    # has the same Rayleigh quotient and residual.
     params = PamParams(d=1, n=1, p=1, kappa=0.25, rho=0.25)
     starve_arpack(monkeypatch)
     with pytest.raises(ConvergenceError) as exc:
         top_eigen(params, 40, 1e-13)
     box = build_box(params.m, 40)
     shift = spectral._shift(params)
-    v0 = spectral._start_vector(box)
-    Av = _apply_flat(params, box, v0, shift)
+    v0 = site_start_vector(box)
+    Av = _apply_flat(params, box, v0) + shift * v0
     theta = float(np.dot(v0, Av))
     best = exc.value.best
     assert best.solver == "arpack"
@@ -679,10 +714,11 @@ def test_lambda_spectral_checks_tol_before_labelling(monkeypatch, tol):
 
 # (value, error, solver, dim, matvecs) of six ARPACK solves, recorded with
 # ncv = 40 and 20 restarts; any change to the Krylov path's arguments or
-# arithmetic shows here.
+# arithmetic shows here.  The top_eigen pin solves the 1,681-site box on
+# its 841 orbits.
 KRYLOV_PINS = [
     ("top_eigen(PamParams(1, 1, 1, 0.25, 0.25), 20)",
-     (0.4136841612181632, 4.180044609292392e-12, "arpack", 1681, 82)),
+     (0.4136841612181623, 4.179676555851766e-12, "arpack", 841, 82)),
     ("lambda_spectral(PamParams(1, 1, 1, 0.25, 0.25), [400])[-1]",
      (0.41421356237309404, 2.386174591310132e-15, "arpack", 801, 42)),
     ("lambda_spectral(PamParams(3, 1, 2, 0.05, 0.1), [2])[-1]",
@@ -709,9 +745,10 @@ def test_krylov_solves_are_pinned(solve, want):
 # (value, error, solver, dim, matvecs) of three dense solves: the matrix
 # assembled in one product, its top pair from LAPACK's syevr on one OpenBLAS
 # thread.  Any change to the dense path's assembly or driver shows here.
+# The top_eigen pin solves the 81-site box on its 41 orbits.
 DENSE_PINS = [
     ("top_eigen(PamParams(1, 1, 1, 0.25, 0.25), 4)",
-     (0.4025334051708924, 1.1035698315042386e-15, "dense", 81, 82)),
+     (0.402533405170892, 7.7824962373645185e-16, "dense", 41, 42)),
     ("lambda_spectral(PamParams(2, 1, 1, 0.25, 0.2), [6])[-1]",
      (0.04738067542543423, 1.2593339183767098e-15, "dense", 91, 92)),
     ("lambda_spectral(PamParams(1, 1, 1, 0.25, 0.25), [100])[-1]",
@@ -829,7 +866,7 @@ def test_dense_solve_runs_unpinned_without_the_library(monkeypatch):
     (lambda tol: lambda_spectral(PamParams(3, 1, 2, 0.05, 0.1), [1], tol)[-1], 255, "arpack"),
     (lambda tol: lambda_spectral(PamParams(1, 1, 2, 0.25, 0.25), [8], tol)[-1], 289, "arpack"),
     (lambda tol: lambda_spectral(PamParams(2, 1, 2, 0.1, 0.2), [2], tol)[-1], 461, "arpack"),
-    (lambda tol: top_eigen(PamParams(1, 1, 2, 0.25, 0.25), 3, tol), 343, "arpack"),
+    (lambda tol: top_eigen(PamParams(1, 1, 2, 0.25, 0.25), 3, tol), 100, "dense"),
 ], ids=["quotient-25", "quotient-91", "quotient-201", "quotient-255", "quotient-289",
         "quotient-461", "top_eigen-343-sites"])
 def test_dense_route_matches_the_full_spectrum(monkeypatch, solve, size, solver):
@@ -914,18 +951,18 @@ def test_site_coords_match_box_sites():
                                           (2, 1, 2, 2), (2, 2, 2, 1), (3, 2, 1, 2),
                                           (3, 2, 1, 4)])
 def test_orbit_sizes_sum_to_the_site_count(d, p, n, radius):
-    q = _quotient(d, p, n, radius)
+    q = _quotient(d, p, n, radius, True)
     assert q.sizes.sum() == (2 * radius + 1) ** (d * (p + n - 1))
     assert q.sizes[q.center] == 1          # z = 0 is fixed by the whole group
 
 
-def labelled_quotient(d, p, n, radius):
-    """The all-sites oracle for _quotient: every site of the frame box is
-    labelled by _orbit_keys and the orbit sizes are counted; the hop counts
-    between orbits are P^T A P, summed over every site, with P the
-    site-orbit incidence and A the walker or the catalyst adjacency of
-    frame_matrix."""
-    blocks = p + n - 1
+def labelled_quotient(d, p, n, radius, frame=True):
+    """The all-sites oracle for _quotient: every site of the frame box (or
+    of the full box) is labelled by _orbit_keys and the orbit sizes are
+    counted; the hop counts between orbits are P^T A P, summed over every
+    site, with P the site-orbit incidence and A the walker or the catalyst
+    adjacency of frame_matrix."""
+    blocks = p + n - 1 if frame else p + n
     z = site_coords(np.arange((2 * radius + 1) ** (d * blocks)), d, blocks, radius)
     _, first, orbit = np.unique(_orbit_keys(z, p, radius),
                                 return_index=True, return_inverse=True)
@@ -933,7 +970,7 @@ def labelled_quotient(d, p, n, radius):
     P = sparse.csr_matrix((np.ones(len(z)), (np.arange(len(z)), orbit)))
 
     def hops(kappa, rho):
-        A = frame_matrix(PamParams(d=d, n=n, p=p, kappa=kappa, rho=rho), radius)
+        A = frame_matrix(PamParams(d=d, n=n, p=p, kappa=kappa, rho=rho), radius, frame)
         A.setdiag(0.0)
         A.eliminate_zeros()
         counted = (P.T @ A @ P).tocoo()
@@ -942,7 +979,7 @@ def labelled_quotient(d, p, n, radius):
         out.sort_indices()
         return out
 
-    collisions = frame_collisions(z[first], p).astype(np.float64)
+    collisions = frame_collisions(z[first], p, frame).astype(np.float64)
     center = int(orbit[(len(z) - 1) // 2])      # the middle F-order index is z = 0
     return sizes, collisions, hops(1.0, 0.0), hops(0.0, 1.0), center
 
@@ -953,14 +990,27 @@ def labelled_quotient(d, p, n, radius):
 def test_quotient_is_the_all_sites_labelling(d, p, n, radius):
     # (1, 2, 1, 64) has 8,321 multisets: decoding them must not go through
     # np.unravel_index on an (N, 1) array, wrong past row 8,192 on numpy 2.4.6
-    q = _quotient(d, p, n, radius)
-    sizes, collisions, kappa_hops, rho_hops, center = labelled_quotient(d, p, n, radius)
+    assert_quotient_is_labelled(d, p, n, radius, True)
+
+
+def assert_quotient_is_labelled(d, p, n, radius, frame):
+    q = _quotient(d, p, n, radius, frame)
+    sizes, collisions, kappa_hops, rho_hops, center = labelled_quotient(d, p, n, radius,
+                                                                        frame)
     assert np.array_equal(q.sizes, sizes) and np.array_equal(q.collisions, collisions)
     assert q.center == center
     for got, want in ((q.kappa_hops, kappa_hops), (q.rho_hops, rho_hops)):
         assert np.array_equal(got.indptr, want.indptr)
         assert np.array_equal(got.indices, want.indices)
         assert np.array_equal(got.data, want.data)
+
+
+@pytest.mark.parametrize("d,p,n,radius", [(1, 1, 1, 8), (1, 2, 2, 2), (2, 2, 1, 2),
+                                          (3, 1, 1, 2), (1, 1, 1, 0), (3, 1, 2, 1),
+                                          (2, 2, 2, 1), (1, 1, 3, 2)])
+def test_full_box_quotient_is_the_all_sites_labelling(d, p, n, radius):
+    # p+n blocks, all n catalysts permuting, and no diagonal hops
+    assert_quotient_is_labelled(d, p, n, radius, False)
 
 
 def test_quotient_keeps_the_frame_box_cap():
@@ -972,11 +1022,15 @@ def test_quotient_keeps_the_frame_box_cap():
 
 def test_orbit_counts():
     # d=3, p=2, n=1: a group of order 96
-    assert len(_quotient(3, 2, 1, 2).sizes) == 255
-    assert len(_quotient(3, 2, 1, 4).sizes) == 6325
+    assert len(_quotient(3, 2, 1, 2, True).sizes) == 255
+    assert len(_quotient(3, 2, 1, 4, True).sizes) == 6325
     # d=1, p+n=4, R=1: the radius-2 frame box has 125 sites, the full box 81
     for p in (1, 2, 3):
-        assert len(_quotient(1, p, 4 - p, 2).sizes) < 81
+        assert len(_quotient(1, p, 4 - p, 2, True).sizes) < 81
+    # the full boxes: 531,441 sites at d=3, p=3, n=1, R=1; 289 at d=1, R=8
+    assert len(_quotient(3, 3, 1, 1, False).sizes) == 2510
+    assert len(_quotient(3, 2, 1, 1, False).sizes) == 320
+    assert len(_quotient(1, 1, 1, 8, False).sizes) == 145
 
 
 def lifted(q, d, p, n, radius, c):
@@ -996,7 +1050,7 @@ def test_quotient_is_the_frame_operator_on_invariant_functions(d, p, n, radius,
                                                                kappa, rho):
     # H lifts Q: for any c, H f(c) = f(Q c), and so the residuals agree
     params = PamParams(d=d, n=n, p=p, kappa=kappa, rho=rho)
-    q = _quotient(d, p, n, radius)
+    q = _quotient(d, p, n, radius, True)
     shift = spectral._shift(params)
     Q = (kappa * q.kappa_hops + rho * q.rho_hops).toarray() + np.diag(
         q.collisions + shift - 2.0 * d * (p * kappa + n * rho))
@@ -1023,7 +1077,7 @@ def test_quotient_matches_the_whole_frame_box(d, R, n, p, kappa, rho):
     # (d=3, n=p=2 is left out: its frame box has 1.95M sites)
     params = PamParams(d=d, n=n, p=p, kappa=kappa, rho=rho)
     tol = 1e-8
-    got = _quotient_top(params, R, tol)
+    got, _ = _sector_top(params, R, tol, frame=True)
     assert got.value == pytest.approx(frame_top(params, 2 * R), abs=tol)
     assert got.dim < (4 * R + 1) ** (d * (p + n - 1))
 
@@ -1047,13 +1101,47 @@ def test_lambda_spectral_never_applies_the_frame_operator(monkeypatch):
     lambda_spectral(PamParams(d=1, n=1, p=1, kappa=0.25, rho=0.25), [400])
 
 
+def test_top_eigen_never_applies_the_site_operator(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("top_eigen must solve on the orbit quotient")
+
+    monkeypatch.setattr(spectral, "_apply_flat", forbidden)
+    est = top_eigen(PamParams(d=3, n=1, p=2, kappa=0.05, rho=0.1), 1)
+    # 0.43101842764 is the value test_lambda_spectral_d3_beats_old_full_box
+    # quotes for this 19,683-site box
+    assert est.dim == 320 and est.value == pytest.approx(0.43101842764, abs=1e-11)
+    top_eigen(PamParams(d=1, n=1, p=1, kappa=0.25, rho=0.25), 20)
+
+
+# (d, n, p, kappa, rho) over the (n, p) pairs up to four walks, on the
+# boxes of radius 2 at d=1 and 1 at d >= 2.  kappa = 0, and rho = 0 with
+# n = 2, make L_p reducible, where averaging a non-negative top eigenvector
+# over the group still holds.  The two 3^12 = 531,441-site boxes (d=3,
+# n+p=4), whose site solves take seconds each, run at one rate pair.
+SITE_ORACLE_CASES = [
+    (d, n, p, kappa, rho)
+    for d in (1, 2, 3)
+    for n, p in ((1, 1), (1, 2), (2, 1), (1, 3), (2, 2))
+    for kappa, rho in ((0.3, 0.2), (0.0, 0.2), (0.3, 0.0))
+    if d < 3 or n + p < 4 or (kappa, rho) == (0.3, 0.2)]
+
+
+@pytest.mark.parametrize("d,n,p,kappa,rho", SITE_ORACLE_CASES)
+def test_top_eigen_matches_the_site_space_oracle(d, n, p, kappa, rho):
+    params = PamParams(d=d, n=n, p=p, kappa=kappa, rho=rho)
+    R = 2 if d == 1 else 1
+    est = top_eigen(params, R, 1e-10)
+    assert est.dim < (2 * R + 1) ** params.m
+    assert abs(est.value - site_top(params, R)) <= 1e-13
+
+
 def test_estimates_carry_their_provenance():
     est = lambda_spectral(PamParams(d=3, n=1, p=2, kappa=0.05, rho=0.1), [1])[-1]
     assert (est.solver, est.dim, est.matvecs) == ("arpack", 255, 42)
     est = lambda_spectral(PamParams(d=1, n=1, p=1, kappa=0.25, rho=0.25), [100])[-1]
     assert (est.solver, est.dim, est.matvecs) == ("dense", 201, 202)
     est = top_eigen(PamParams(d=1, n=1, p=1, kappa=0.25, rho=0.25), 20)
-    assert est.solver == "arpack" and est.dim == 41 ** 2 and est.matvecs > 0
+    assert est.solver == "arpack" and est.dim == 841 and est.matvecs > 0   # of 41^2 sites
 
 
 # ---------------------------------------------------------------------------
@@ -1104,6 +1192,18 @@ def test_tensor_gap_dense_oracle():
     assert tg.lambda1 == pytest.approx(lam1, abs=1e-9)
     assert tg.gap == pytest.approx(gap, abs=1e-9)
     assert tg.rayleigh2 == pytest.approx(ray2, abs=1e-9)
+
+
+def test_tensor_gap_checks_the_p2_box_before_solving(monkeypatch):
+    # d=3, n=1, R=3: the p=2 box has 7^9 = 40M sites, over lattice.MAX_SITES;
+    # it is refused before the p=1 solve and before f~ is built
+    def no_solve(*args):
+        raise AssertionError("tensor_gap solved before checking the p=2 box")
+
+    monkeypatch.setattr(spectral, "_quotient", no_solve)
+    monkeypatch.setattr(spectral, "_apply_flat", no_solve)
+    with pytest.raises(CapacityError):
+        tensor_gap(PamParams(d=3, n=1, p=1, kappa=0.1, rho=0.1), 3)
 
 
 def test_tensor_gap_requires_p1():

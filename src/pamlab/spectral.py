@@ -363,6 +363,9 @@ class _Quotient(NamedTuple):
     kappa_hops and rho_hops hold the hop counts between orbits,
     sum_{x in O, y in O'} A(x, y) / sqrt(|O| |O'|), of the walker hops and
     of the catalyst and diagonal hops; collisions holds I_p on each orbit.
+    indptr and indices are the csr pattern of the union of both hop
+    matrices' entries and the diagonal; kappa_at, rho_at and diagonal_at
+    place each of those entries in it (see operator).
     """
 
     labels: np.ndarray         # each orbit's _orbit_keys label, ascending
@@ -371,6 +374,22 @@ class _Quotient(NamedTuple):
     kappa_hops: sparse.csr_matrix
     rho_hops: sparse.csr_matrix
     center: int                # the orbit of z = 0, a fixed point
+    indptr: np.ndarray
+    indices: np.ndarray
+    kappa_at: np.ndarray
+    rho_at: np.ndarray
+    diagonal_at: np.ndarray
+
+    def operator(self, kappa: float, rho: float, diagonal: np.ndarray) -> sparse.csr_matrix:
+        """kappa * kappa_hops + rho * rho_hops + diag(diagonal), filled into
+        the merged pattern in the order of operations of that scipy sum,
+        (kappa k + rho r) + diag, so every stored value has its bits; where
+        the sum drops a zero (kappa = 0, say) the fill keeps it."""
+        data = np.zeros(len(self.indices))
+        data[self.kappa_at] = kappa * self.kappa_hops.data
+        data[self.rho_at] += rho * self.rho_hops.data
+        data[self.diagonal_at] += diagonal
+        return sparse.csr_matrix((data, self.indices, self.indptr), shape=(len(self.sizes),) * 2)
 
 
 @lru_cache(maxsize=8)
@@ -381,57 +400,145 @@ def _quotient(d: int, p: int, n: int, radius: int, frame: bool) -> _Quotient:
 
     A site is d columns, each coding one axis in every block base
     L = 2*radius+1 as in _orbit_keys.  greens._multisets(d, half) lists its
-    B_d-orbits with their sizes, value v the column coded half + v, and
-    _orbit_keys merges them into orbits of G.  The hops are read off one
-    representative per orbit: x in O has as many neighbours in O' as x_O.
+    B_d-orbits with their sizes, value v the column coded half + v.  One
+    table reads each of the half + 1 codes under each block order (its
+    digits permuted) and folds it with its negation; sorting a site's d
+    table entries and encoding them is _orbit_keys, which merges the
+    multisets into orbits of G.  The hops are read off one representative
+    per orbit, kept as its d column codes: x in O has as many neighbours in
+    O' as x_O.  A hop moves one column, by one digit (a walker or catalyst
+    step) or by every digit (a diagonal step); inside the box that adds the
+    same constant to the column read under an order, whatever the digits.
+    So a neighbour's label is the moved column, folded and inserted among
+    the other d - 1 table entries, one axis and step at a time, over the
+    representatives.  The neighbours are merged by one sort of their
+    (label, row) codes; the hop counts are symmetric to the last bit, so
+    sorted by label they are the matrix's rows.  No array is site-sized.
     """
     blocks = p + n - 1 if frame else p + n
     build_box(d * blocks, radius)    # the box must stay within lattice.MAX_SITES
     L = 2 * radius + 1
-    half = (L ** blocks - 1) // 2
-    cols, mult = greens._multisets(d, half)
+    C = L ** blocks
+    half = (C - 1) // 2
     place = L ** np.arange(blocks - 1, -1, -1)      # block 0 is the leading digit
-    reps = (half + cols)[:, None, :] // place[:, None] % L - radius
-    labels, first, which = np.unique(_orbit_keys(reps, p, radius),
+    orders = [walkers + catalysts for walkers in itertools.permutations(range(p))
+              for catalysts in itertools.permutations(range(p, blocks))]
+
+    def folded(c):
+        return np.minimum(c, C - 1 - c)
+
+    def inserted(ordered, v):
+        # the arrays ordered, elementwise ascending, with v inserted: one
+        # pass of insertion sort by elementwise min and max
+        out = ordered + [v]
+        for j in range(len(ordered), 0, -1):
+            out[j - 1], out[j] = np.minimum(out[j - 1], out[j]), np.maximum(out[j - 1], out[j])
+        return out
+
+    def ascending(columns):
+        out = []
+        for v in columns:
+            out = inserted(out, v)
+        return out
+
+    def keys(ordered):
+        # _orbit_keys from the d ascending folded columns, each (orders, sites)
+        k = ordered[0]
+        for v in ordered[1:]:
+            k = k * C + v
+        return k.min(axis=0)
+
+    cols, mult = greens._multisets(d, half)     # values 0..half, all in use
+    digits = (half + np.arange(half + 1))[:, None] // place % L     # (codes, blocks)
+    # (orders, codes): each code with its digits permuted by each order
+    read = np.stack([digits[:, order] @ place for order in orders])
+    table = folded(read)
+    labels, first, which = np.unique(keys(ascending([table.take(v, axis=1) for v in cols.T])),
                                      return_index=True, return_inverse=True)
     sizes = np.bincount(which, weights=mult).astype(np.int64)
-    z = reps[first]
+    N = len(labels)
+    at = cols[first].T                        # (d, N): the representatives' columns
 
-    walkers = z[:, :p, None, :]
-    # the catalysts; in the frame, catalyst 1 is a zero block before the rest
-    others = np.concatenate((np.zeros_like(z[:, :frame]), z[:, p:]), axis=1)[:, None]
-    collisions = (walkers == others).all(axis=3).sum(axis=(1, 2)).astype(np.float64)
+    def block(b):
+        # (d, N): block b's coordinate on each axis, as a digit
+        return digits[:, b].take(at)
+
+    # I_p: pairs of a walker and a catalyst on the same site; in the frame,
+    # catalyst 1 is at z = 0, the digit radius on every axis
+    catalysts = [block(k) for k in range(p, blocks)] + [radius] * frame
+    collisions = sum((block(j) == y).all(axis=0)
+                     for j in range(p) for y in catalysts).astype(np.float64)
+
+    S = N.bit_length()        # codes carry an orbit index in their low S bits
+    low = (1 << S) - 1
+
+    def firsts(a):
+        # the first entry of each run of equal values in the sorted a
+        out = np.ones(len(a), dtype=bool)
+        np.not_equal(a[1:], a[:-1], out=out[1:])
+        return out
+
+    def indptr_of(rows):
+        # csr row pointers of the ascending row indices rows; the merged
+        # pattern has fewer than 2^31 entries (lattice.MAX_SITES times
+        # 1 + 2 d (p + n)), so int32 indices hold, as scipy stores them
+        out = np.zeros(N + 1, dtype=np.int32)
+        np.cumsum(np.bincount(rows, minlength=N), out=out[1:])
+        return out
 
     def hops(steps):
-        rows, cols = [], []
-        for step in steps:
-            for nb in (z + step, z - step):
-                inside = (np.abs(nb) <= radius).all(axis=(1, 2))
-                rows.append(np.flatnonzero(inside))
-                cols.append(labels.searchsorted(
-                    _orbit_keys(nb[inside], p, radius)))
-        rows, cols = np.concatenate(rows), np.concatenate(cols)
-        counted = sparse.coo_matrix((np.ones(len(rows)), (rows, cols)),
-                                    shape=(len(labels),) * 2)
-        counted.sum_duplicates()
+        # steps: the blocks each step moves.  A code can move if none of the
+        # moved digits is at the edge; the move adds shift under each order
+        moves = []
+        for moved in steps:
+            for sign in (1, -1):
+                inside = np.ones(half + 1, dtype=bool)
+                for b in moved:
+                    inside &= digits[:, b] != (L - 1 if sign > 0 else 0)
+                shift = [sign * sum(place[order.index(b)] for b in moved) for order in orders]
+                moves.append((inside, np.array(shift)[:, None]))
+        found = np.empty(d * len(moves) * N, dtype=np.int64)
+        end = 0
+        for i in range(d):
+            rest = ascending([table.take(at[j], axis=1) for j in range(d) if j != i])
+            column = read.take(at[i], axis=1)
+            for inside, shift in moves:
+                rows = np.flatnonzero(inside[at[i]])
+                k = keys(inserted([v.take(rows, axis=1) for v in rest],
+                                  folded(column.take(rows, axis=1) + shift)))
+                stop = end + len(rows)
+                np.bitwise_or(k << S, rows, out=found[end:stop])
+                end = stop
+        found = found[:end]
+        found.sort()
+        first = firsts(found)
+        counts = np.diff(np.flatnonzero(first), append=end).astype(np.float64)
+        found = found[first]
+        r = found & low
+        c = labels.searchsorted(found >> S)
         # |O| * (neighbours of x_O in O') counts the hops between O and O'
-        # both ways, so these entries are symmetric to the last bit
-        r, c = counted.row, counted.col
-        counted.data = counted.data * sizes[r] / np.sqrt(sizes[r] * sizes[c])
-        return counted.tocsr()
+        # both ways, so these entries are symmetric to the last bit, and
+        # entry (r, c) is stored as entry (c, r)
+        data = counts * sizes[r]
+        data /= np.sqrt(sizes[r] * sizes[c])
+        np.bitwise_or(c << S, r, out=found)
+        return found, sparse.csr_matrix((data, r, indptr_of(c)), shape=(N, N))
 
-    def unit(cells):
-        step = np.zeros((blocks, d), dtype=np.int64)
-        for cell in cells:
-            step[cell] = 1
-        return step
-
-    kappa_hops = hops([unit([(j, i)]) for j in range(p) for i in range(d)])
+    kappa_found, kappa_hops = hops([[j] for j in range(p)])
     # catalyst hops, and in the frame catalyst 1's diagonal ones
-    rho_hops = hops([unit([(k, i)]) for k in range(p, blocks) for i in range(d)]
-                    + [unit([(b, i) for b in range(blocks)]) for i in range(d * frame)])
+    rho_found, rho_hops = hops([[k] for k in range(p, blocks)] + [list(range(blocks))] * frame)
+    diagonal_found = (np.arange(N) << S) | np.arange(N)
+    parts = (kappa_found, rho_found, diagonal_found)
+    merged = np.concatenate(parts)
+    merged.sort()
+    merged = merged[firsts(merged)]
+    places = [merged.searchsorted(part).astype(np.int32) for part in parts]
+    del parts, kappa_found, rho_found, diagonal_found    # keeps the peak below 12 B/site
+    indptr = indptr_of(merged >> S)
+    indices = (merged & low).astype(np.int32)
     center = int(which[0])    # row 0, the all-zero multiset, is the site z = 0
-    return _Quotient(labels, sizes, collisions, kappa_hops, rho_hops, center)
+    return _Quotient(labels, sizes, collisions, kappa_hops, rho_hops, center, indptr, indices,
+                     *places)
 
 
 # ---------------------------------------------------------------------------
@@ -454,12 +561,16 @@ class _Solution(NamedTuple):
 # O(size^3) reduction passes ARPACK's 42-62 sparse products.
 _DENSE_CUTOFF = 240
 
-# At most this many unknowns, a solve runs on one thread of scipy's
-# OpenBLAS (_one_blas_thread), dense or ARPACK: there a second thread saves
-# no wall time and only spins.  On a 2-core Xeon, ARPACK on 2 threads took
-# the same wall time as on one from 255 to 6,325 unknowns and twice the CPU
-# time; the threads pay from about 20,000 unknowns up.
-_ONE_THREAD_CUTOFF = 600
+# At most this many unknowns, a solve runs on one thread of scipy's and of
+# numpy's OpenBLAS (_one_blas_thread), dense or ARPACK: there a second
+# thread saves no wall time and only spins.  On a 2-core Xeon (median of 5
+# solves, 5 alternated pairs of fresh interpreters), ARPACK on one thread
+# was no slower than on 2 and took half the CPU time at every size measured
+# up to 24,649 unknowns, restarted solves included (17,661 unknowns, 142
+# products: 143 ms against 171 ms); at 33,826 a restarted solve (162
+# products) took 332 ms on one thread against 296 ms on 2.  Unrestarted
+# solves stay faster on one thread to at least 116,281 unknowns.
+_ONE_THREAD_CUTOFF = 24_649
 
 # ARPACK's Lanczos basis size (ncv) and restart count (maxiter): the former
 # defaults, ncv = min(40, size - 1) and maxiter = max(4, 800 // ncv), as they
@@ -492,12 +603,13 @@ def _openblas_function(package: str, *names: str):
 
 
 @lru_cache(maxsize=None)
-def _openblas_set_threads():
-    """openblas_set_num_threads_local of the OpenBLAS bundled in scipy.libs,
-    the library scipy.linalg's LAPACK runs on, or None where there is none
-    (a scipy built against another BLAS).  It sets the thread count and
-    returns the previous one."""
-    fn = _openblas_function("scipy", "openblas_set_num_threads_local")
+def _openblas_set_threads(package: str):
+    """openblas_set_num_threads_local of the OpenBLAS bundled in package's
+    wheel: scipy.libs, the library scipy.linalg's LAPACK and ARPACK run on,
+    or numpy.libs, numpy's dot and norm.  None where there is none (a build
+    against another BLAS).  It sets the thread count and returns the
+    previous one."""
+    fn = _openblas_function(package, "openblas_set_num_threads_local")
     if fn is not None:
         fn.argtypes = [ctypes.c_int]
         fn.restype = ctypes.c_int
@@ -519,28 +631,27 @@ def _openblas_threads(package: str) -> int | None:
 
 @contextmanager
 def _one_blas_thread():
-    """Run the block on one thread of scipy's OpenBLAS and restore the
-    caller's count after it, also when it raises.
+    """Run the block on one thread of scipy's and of numpy's OpenBLAS and
+    restore the caller's counts after it, also when it raises.
 
     syevr's last bits depend on how many threads its BLAS calls split the
     work over, so a dense value pinned this way reads the same whatever
-    OPENBLAS_NUM_THREADS is.  ARPACK's solves up to 6,325 unknowns read
-    the same under 1, 2 and 4 threads; from about 20,000 unknowns the
-    threads save wall time but move the last bits.  Without the bundled
-    library the block runs on the caller's count.  scipy's wheels ship a
-    pthreads OpenBLAS, where the count set here is the whole process's, not
-    only the calling thread's; pamlab makes no BLAS call from another
-    thread.
+    OPENBLAS_NUM_THREADS is.  So does an ARPACK solve: besides ARPACK's own
+    calls on scipy's library, it normalises its start vector and its
+    residual with numpy's dot, which splits vectors of more than 10,000
+    entries over the threads and so moves their last bits.  Without a
+    bundled library the block runs on the caller's count of that one.  The
+    wheels ship a pthreads OpenBLAS, where the count set here is the whole
+    process's, not only the calling thread's; pamlab makes no BLAS call from
+    another thread.
     """
-    set_threads = _openblas_set_threads()
-    if set_threads is None:
-        yield
-        return
-    previous = set_threads(1)
+    setters = [f for f in map(_openblas_set_threads, ("scipy", "numpy")) if f is not None]
+    previous = [f(1) for f in setters]
     try:
         yield
     finally:
-        set_threads(previous)
+        for f, count in zip(setters, previous):
+            f(count)
 
 
 def _top_pair(A: sparse.csr_matrix, v0: np.ndarray, tol: float, scale: float) -> _Solution:
@@ -551,17 +662,18 @@ def _top_pair(A: sparse.csr_matrix, v0: np.ndarray, tol: float, scale: float) ->
     LAPACK's MRRR driver (syevr) computes its top eigenpair alone, at the
     cost of size + 1 operator applications.  syevr runs on one OpenBLAS
     thread (_one_blas_thread), so its value does not depend on the BLAS
-    thread count.  Larger problems go to _krylov_top from v0: above
-    _DENSE_CUTOFF the O(size^3) reduction costs more than ARPACK's few
-    dozen products.  ARPACK runs on one thread up to _ONE_THREAD_CUTOFF
-    unknowns and on the caller's thread count above it.
+    thread count.  Larger problems go to _krylov_top from v0, normalised
+    here: above _DENSE_CUTOFF the O(size^3) reduction costs more than
+    ARPACK's few dozen products.  ARPACK, with the normalisation, runs on
+    one thread up to _ONE_THREAD_CUTOFF unknowns and on the caller's thread
+    count above it.
     """
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be finite and > 0, got {tol}")
     size = v0.size
     if size > _DENSE_CUTOFF:
         with _one_blas_thread() if size <= _ONE_THREAD_CUTOFF else nullcontext():
-            return _krylov_top(A.dot, v0, tol, scale)
+            return _krylov_top(A.dot, v0 / np.linalg.norm(v0), tol, scale)
     M = A.dot(np.eye(size))
     with _one_blas_thread():
         w, V = eigh(M, subset_by_index=[size - 1, size - 1])
@@ -641,12 +753,11 @@ def _sector_top(params: PamParams, R: int, tol: float,
     shift = _shift(params)
     # the Dirichlet diagonal -2 d (p kappa + n rho), plus I_p and the shift
     diagonal = q.collisions + (shift - 2.0 * d * (p * params.kappa + n * params.rho))
-    Q = (params.kappa * q.kappa_hops + params.rho * q.rho_hops
-         + sparse.diags(diagonal)).tocsr()
+    Q = q.operator(params.kappa, params.rho, diagonal)
     # the box's start vector, 1e-3 plus 1 at z = 0, on the orbit basis
     v0 = 1e-3 * np.sqrt(q.sizes)
     v0[q.center] += 1.0
-    sol = _top_pair(Q, v0 / np.linalg.norm(v0), tol, _scale(params, shift))
+    sol = _top_pair(Q, v0, tol, _scale(params, shift))
     return _certified(params, R, shift, sol, tol), sol.vec
 
 

@@ -712,10 +712,12 @@ def test_lambda_spectral_checks_tol_before_labelling(monkeypatch, tol):
         lambda_spectral(params, [2], tol=tol)
 
 
-# (value, error, solver, dim, matvecs) of six ARPACK solves, recorded with
+# (value, error, solver, dim, matvecs) of eight ARPACK solves, recorded with
 # ncv = 40 and 20 restarts; any change to the Krylov path's arguments or
 # arithmetic shows here.  The top_eigen pin solves the 1,681-site box on
-# its 841 orbits.
+# its 841 orbits.  The 16,641-orbit pin is the one-thread value: numpy's
+# dot splits more than 10,000 entries over the threads, and on 2 unpinned
+# threads this solve reads 0.4533729938997526.
 KRYLOV_PINS = [
     ("top_eigen(PamParams(1, 1, 1, 0.25, 0.25), 20)",
      (0.4136841612181623, 4.179676555851766e-12, "arpack", 841, 82)),
@@ -729,13 +731,18 @@ KRYLOV_PINS = [
      (0.45337299389975283, 3.9463768196697873e-16, "arpack", 289, 42)),
     ("lambda_spectral(PamParams(2, 1, 2, 0.1, 0.2), [2])[-1]",
      (0.30446889883088524, 7.622959965737709e-16, "arpack", 461, 42)),
+    ("lambda_spectral(PamParams(1, 1, 2, 0.25, 0.25), [48])[-1]",
+     (0.45337299389975283, 2.1850130037710184e-15, "arpack", 9409, 42)),
+    ("lambda_spectral(PamParams(1, 1, 2, 0.25, 0.25), [64])[-1]",
+     (0.4533729938997524, 2.1035497103002212e-15, "arpack", 16641, 42)),
 ]
 
 
 @pytest.mark.parametrize("solve,want", KRYLOV_PINS,
                          ids=["top_eigen-1681-sites", "quotient-801-orbits",
                               "quotient-6325-orbits", "quotient-255-orbits",
-                              "quotient-289-orbits", "quotient-461-orbits"])
+                              "quotient-289-orbits", "quotient-461-orbits",
+                              "quotient-9409-orbits", "quotient-16641-orbits"])
 def test_krylov_solves_are_pinned(solve, want):
     est = eval(solve, vars(spectral))
     assert est.converged
@@ -789,8 +796,9 @@ def test_dense_pins_hold_under_each_blas_thread_count(threads):
 
 @pytest.mark.parametrize("threads", ["1", "2"])
 def test_krylov_pins_hold_under_each_blas_thread_count(threads):
-    # ARPACK runs on one thread up to 600 unknowns and on the caller's
-    # count above; up to 6,325 unknowns its last bits do not move with it
+    # ARPACK and the dot products around it run on one thread of each
+    # OpenBLAS up to _ONE_THREAD_CUTOFF (24,649) unknowns, so no pin's last
+    # bits move with the count; unpinned, the 16,641-orbit one would
     assert pins_in_a_fresh_interpreter(KRYLOV_PINS, threads) == [w for _, w in KRYLOV_PINS]
 
 
@@ -805,55 +813,65 @@ def scipy_blas_threads() -> int:
 
 
 def test_dense_solve_restores_the_blas_thread_count(monkeypatch):
-    set_threads = spectral._openblas_set_threads()
-    assert set_threads is not None, "scipy.libs holds no bundled OpenBLAS"
-    previous = set_threads(2)
+    # both libraries: scipy's, which syevr and ARPACK run on, and numpy's,
+    # whose dot normalises ARPACK's start vector and residual
+    setters = [spectral._openblas_set_threads(package) for package in ("scipy", "numpy")]
+    assert None not in setters, "scipy.libs or numpy.libs holds no bundled OpenBLAS"
+    previous = [set_threads(2) for set_threads in setters]
+
+    def counts():
+        return [spectral._openblas_threads(package) for package in ("scipy", "numpy")]
+
     try:
         seen = []
         dense_eigh = spectral.eigh
 
         def spy_eigh(M, **kwargs):
-            seen.append(scipy_blas_threads())
+            seen.append(counts())
             return dense_eigh(M, **kwargs)
 
         monkeypatch.setattr(spectral, "eigh", spy_eigh)
         top_eigen(PamParams(1, 1, 1, 0.25, 0.25), 4)
-        assert seen == [1]
-        assert scipy_blas_threads() == 2
+        assert seen == [[1, 1]]
+        assert counts() == [2, 2]
         with pytest.raises(RuntimeError, match="inside"):
             with spectral._one_blas_thread():
-                assert scipy_blas_threads() == 1
+                assert counts() == [1, 1]
                 raise RuntimeError("raised inside")
-        assert scipy_blas_threads() == 2
+        assert counts() == [2, 2]
     finally:
-        set_threads(previous)
+        for set_threads, count in zip(setters, previous):
+            set_threads(count)
 
 
 def test_arpack_runs_on_one_thread_up_to_the_cutoff(monkeypatch):
-    # the 255-orbit quotient is ARPACK's, on one thread like a dense solve;
-    # the 801-orbit one runs on the caller's count
-    set_threads = spectral._openblas_set_threads()
-    assert set_threads is not None, "scipy.libs holds no bundled OpenBLAS"
-    previous = set_threads(2)
+    # the 255- and 16,641-orbit quotients are ARPACK's, on one thread like a
+    # dense solve; the 33,826-orbit full box runs on the caller's count
+    setters = [spectral._openblas_set_threads(package) for package in ("scipy", "numpy")]
+    assert None not in setters, "scipy.libs or numpy.libs holds no bundled OpenBLAS"
+    previous = [set_threads(2) for set_threads in setters]
     try:
         seen = []
         arpack = spectral.eigsh
 
-        def spy_eigsh(*args, **kwargs):
-            seen.append(scipy_blas_threads())
-            return arpack(*args, **kwargs)
+        def spy_eigsh(A, **kwargs):
+            seen.append((A.shape[0], scipy_blas_threads(), spectral._openblas_threads("numpy")))
+            return arpack(A, **kwargs)
 
         monkeypatch.setattr(spectral, "eigsh", spy_eigsh)
         lambda_spectral(PamParams(3, 1, 2, 0.05, 0.1), [1])
-        lambda_spectral(PamParams(1, 1, 1, 0.25, 0.25), [400])
-        assert seen == [1, 2]
+        lambda_spectral(PamParams(1, 1, 2, 0.25, 0.25), [64])
+        top_eigen(PamParams(1, 1, 2, 0.25, 0.25), 25)
+        assert spectral._ONE_THREAD_CUTOFF == 24649
+        assert seen == [(255, 1, 1), (16641, 1, 1), (33826, 2, 2)]
         assert scipy_blas_threads() == 2
     finally:
-        set_threads(previous)
+        for set_threads, count in zip(setters, previous):
+            set_threads(count)
 
 
 def test_dense_solve_runs_unpinned_without_the_library(monkeypatch):
-    monkeypatch.setattr(spectral, "_openblas_set_threads", lambda: None)
+    monkeypatch.setattr(spectral, "_openblas_set_threads", lambda package: None)
     solve, want = DENSE_PINS[1]
     est = eval(solve, vars(spectral))
     assert (est.value, est.error, est.solver, est.dim, est.matvecs) == want
@@ -986,10 +1004,14 @@ def labelled_quotient(d, p, n, radius, frame=True):
 
 @pytest.mark.parametrize("d,p,n,radius", [(1, 2, 1, 64), (3, 2, 1, 4), (2, 2, 2, 2),
                                           (3, 1, 2, 2), (1, 1, 1, 0), (2, 3, 1, 1),
-                                          (3, 2, 2, 1), (1, 1, 3, 3)])
+                                          (3, 2, 2, 1), (1, 1, 3, 3), (3, 1, 1, 2),
+                                          (5, 1, 1, 1)])
 def test_quotient_is_the_all_sites_labelling(d, p, n, radius):
     # (1, 2, 1, 64) has 8,321 multisets: decoding them must not go through
-    # np.unravel_index on an (N, 1) array, wrong past row 8,192 on numpy 2.4.6
+    # np.unravel_index on an (N, 1) array, wrong past row 8,192 on numpy 2.4.6.
+    # (3, 1, 1, 2) is the one-block frame box phase solves for p = 1, where
+    # a walker step and a diagonal step move the same digit; (5, 1, 1, 1)
+    # inserts a moved column among four others
     assert_quotient_is_labelled(d, p, n, radius, True)
 
 
@@ -1007,10 +1029,52 @@ def assert_quotient_is_labelled(d, p, n, radius, frame):
 
 @pytest.mark.parametrize("d,p,n,radius", [(1, 1, 1, 8), (1, 2, 2, 2), (2, 2, 1, 2),
                                           (3, 1, 1, 2), (1, 1, 1, 0), (3, 1, 2, 1),
-                                          (2, 2, 2, 1), (1, 1, 3, 2)])
+                                          (2, 2, 2, 1), (1, 1, 3, 2), (2, 3, 1, 1),
+                                          (5, 1, 1, 1)])
 def test_full_box_quotient_is_the_all_sites_labelling(d, p, n, radius):
-    # p+n blocks, all n catalysts permuting, and no diagonal hops
+    # p+n blocks, all n catalysts permuting, and no diagonal hops; (2, 3, 1, 1)
+    # reads each column under the 6 orders of three walkers
     assert_quotient_is_labelled(d, p, n, radius, False)
+
+
+def test_quotient_build_stays_orbit_sized():
+    # the radius-6 frame box at d=3, p=2, n=1 has 13^6 = 4,826,809 sites and
+    # 53,459 orbits; the build holds no array over the sites, and at its
+    # peak about 8 bytes per site in all
+    sites = 13 ** 6
+    tracemalloc.start()
+    try:
+        q = _quotient.__wrapped__(3, 2, 1, 6, True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(q.sizes) == 53459 and q.sizes.sum() == sites
+    assert peak <= 12 * sites
+
+
+@pytest.mark.parametrize("d,p,n,radius,frame", [(1, 2, 1, 8, True), (3, 2, 1, 2, True),
+                                                (2, 2, 2, 1, True), (3, 1, 1, 2, True),
+                                                (1, 1, 1, 0, True), (2, 1, 2, 2, False),
+                                                (1, 1, 3, 2, False)])
+@pytest.mark.parametrize("kappa,rho", [(0.05, 0.1), (0.0, 0.2), (0.3, 0.0), (0.25, 0.25)])
+def test_operator_fill_is_the_scipy_sum(d, p, n, radius, frame, kappa, rho):
+    # the solve's matrix, filled into one merged pattern, against the sum it
+    # replaces: equal entries and equal products, bit for bit, also where
+    # the sum drops the zero entries of a zero rate
+    q = _quotient(d, p, n, radius, frame)
+    params = PamParams(d=d, n=n, p=p, kappa=kappa, rho=rho)
+    shift = spectral._shift(params)
+    diagonal = q.collisions + (shift - 2.0 * d * (p * kappa + n * rho))
+    want = (kappa * q.kappa_hops + rho * q.rho_hops + sparse.diags(diagonal)).tocsr()
+    got = q.operator(kappa, rho, diagonal)
+    assert got.has_sorted_indices
+    assert np.array_equal(got.toarray(), want.toarray())
+    rng = np.random.Generator(np.random.Philox(key=np.uint64(len(q.sizes))))
+    for x in (rng.standard_normal(len(q.sizes)), np.ones(len(q.sizes))):
+        assert np.array_equal(got @ x, want @ x)
+    # the eye product the dense route assembles its matrix from
+    eye = np.eye(len(q.sizes))
+    assert np.array_equal(got.dot(eye), want.dot(eye))
 
 
 def test_quotient_keeps_the_frame_box_cap():

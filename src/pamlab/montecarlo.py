@@ -19,24 +19,29 @@ walker-catalyst pair in plain Python: one sort of the pair's cut points and
 one bisection per side at every piece's midpoint.  `lambda_mc` instead
 stores a block of samples back to back in arrays, and a block's collision
 measures come from a few whole-array numpy operations: one sort of every
-pair's merged cut points, and one lookup of both paths' positions at every
-piece's midpoint.  A single call pays no numpy fixed cost; a block of about
-4,096 jumps spreads it over hundreds of samples.  Both routes compute the
-same floats, summed by `math.fsum`, as a piece-by-piece evaluation, so
-their results are the same bit for bit.
+pair's merged cut points, running counts of each path's cuts in that order
+for its position on every piece, and one comparison of position codes per
+piece.  A single call pays no numpy fixed cost; a block of about 4,096
+jumps spreads it over hundreds of samples.  Both routes compute the same
+floats, summed by `math.fsum`, as a piece-by-piece evaluation, so their
+results are the same bit for bit.
 
 Per-sample RNG streams are keyed by (seed, sample index), and the final
 log-sum-exp reduction runs in sample-index order, so results are bit-for-bit
 reproducible for any worker count.  Every path's draws are `_draw`'s: a
 Poisson count, uniform epochs, then axes and signs from two `integers`
-calls.  On Philox, `sample_path` and `lambda_mc` draw only the count on the
-`Generator` and read the rest straight from Philox, one `random_raw` per
-path (`_path_words`): a word per epoch, then the words the `integers` calls
-would split into 32-bit halves.  `sample_path` decodes its few words in
-plain Python, `lambda_mc` a block's words at once in numpy; both follow
-numpy's own rules, so the values are `_draw`'s bit for bit.  Weights live in
-[1, e^{npt}]; everything is accumulated in log space with compensated
-summation.
+calls.  On Philox, `sample_path` draws the count on the `Generator` and
+reads the rest straight from Philox in one `random_raw` call
+(`_path_words`): a word per epoch, then the words the `integers` calls
+would split into 32-bit halves, decoded in plain Python.  `lambda_mc` reads
+all of a sample's words, its counts' included, in one `random_raw` call and
+decodes a block of samples at once in numpy (`_read_block`): per path the
+words of numpy's Poisson draw (`_poisson_counts`), then its epoch and half
+words as `sample_path` reads them.  Both follow numpy's own rules, so the
+values are `_draw`'s bit for bit; a block holding a half numpy would
+reject, or a Poisson comparison too close to call, is drawn through
+`_draw`.  Weights live in [1, e^{npt}]; everything is accumulated in log
+space with compensated summation.
 """
 from __future__ import annotations
 
@@ -51,6 +56,7 @@ from typing import Sequence, Tuple
 import numpy as np
 from scipy import sparse
 from scipy.sparse.linalg import expm_multiply
+from scipy.special import gammaln
 
 from .lattice import build_box
 from .spectral import PamParams
@@ -66,13 +72,14 @@ __all__ = [
 
 logger = logging.getLogger(__name__)
 
-# Jumps drawn per vectorised block of lambda_mc samples: enough to spread the
-# fixed cost of a block's numpy calls over hundreds of samples, while its
-# arrays stay near a megabyte (plus at most one sample past the budget).
+# Jumps expected per vectorised block of lambda_mc samples: enough to spread
+# the fixed cost of a block's numpy calls over hundreds of samples, while its
+# arrays stay near a megabyte.
 _BLOCK_JUMPS = 1 << 12
 
-# the words of a path without jumps
-_NO_WORDS = np.zeros(0, dtype=np.uint64)
+# PTRS tries read per row and pass: at lam = 10 a try fails with odds of
+# about 0.21, so one pass in about 500 rows ends without a count
+_PTRS_TRIES = 4
 
 
 @dataclass(frozen=True)
@@ -142,13 +149,22 @@ def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     return np.arange(ends[-1]) + (starts - ends + lengths).repeat(lengths)
 
 
-def _keyed(index, values) -> np.ndarray:
-    """Complex numbers index + i*values: numpy orders complex numbers by
-    real part, then by imaginary part, so these sort by index, then value."""
-    out = np.empty(len(values), dtype=complex)
-    out.real = index
-    out.imag = values
-    return out
+def _run_sums(values: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """`math.fsum` of each run of values, runs of sizes[i] values back to
+    back.  A run of one or two values is summed in numpy: fsum rounds the
+    exact sum once, and so does a single addition."""
+    ends = sizes.cumsum()
+    sums = np.zeros(len(sizes))
+    some = sizes > 0
+    sums[some] = values[ends[some] - 1]
+    two = sizes == 2
+    sums[two] += values[ends[two] - 2]
+    many = np.flatnonzero(sizes > 2)
+    if many.size:
+        listed = values.tolist()
+        sums[many] = [math.fsum(listed[lo:hi]) for lo, hi in
+                      zip((ends[many] - sizes[many]).tolist(), ends[many].tolist())]
+    return sums
 
 
 # The largest float below 0.  It stands for the epoch before a path's first
@@ -203,9 +219,12 @@ def _positions(d: int, start: Sequence[int], horizon: float, counts: np.ndarray,
 
 
 def _check_rate(nu: float, t_end: float) -> None:
-    # by name: at nu = 0 the word routes make no draw that would refuse it
+    # by name: at nu = 0 the word routes make no draw that would refuse it,
+    # and a NaN rate passes both nu < 0 and nu > 0 as false
     if not math.isfinite(t_end):
         raise ValueError(f"horizon must be finite, got t_end={t_end}")
+    if not math.isfinite(nu):
+        raise ValueError(f"rate must be finite, got nu={nu}")
     if nu < 0 or t_end < 0:
         raise ValueError(f"need nu >= 0 and t_end >= 0, got nu={nu}, t_end={t_end}")
 
@@ -360,8 +379,18 @@ def _philox_events(d: int, count: int, t: float, bits: np.random.Philox):
     return zip(sorted([_uniform(w, t) for w in words[:count]]), *jumps)
 
 
+def _position_codes(positions: np.ndarray) -> np.ndarray:
+    """One int64 per row of positions, equal exactly where the rows are:
+    the row's coordinates, less their minimum, as digits in one radix."""
+    low = int(positions.min())
+    radix = int(positions.max()) - low + 1
+    if radix ** positions.shape[1] >= 1 << 63:
+        return np.unique(positions, axis=0, return_inverse=True)[1].reshape(-1)
+    return (positions - low) @ radix ** np.arange(positions.shape[1])
+
+
 def _collision_measures(t: float, p: int, n: int, counts: np.ndarray,
-                        epochs: np.ndarray, positions: np.ndarray) -> list[float]:
+                        epochs: np.ndarray, positions: np.ndarray) -> np.ndarray:
     """Exact |{s in [0,t]: X_j(s) = Y_k(t-s)}| for every walker-catalyst pair
     (j, k) of every group of a batch of paths, in (group, j, k) order.
 
@@ -369,37 +398,51 @@ def _collision_measures(t: float, p: int, n: int, counts: np.ndarray,
     walker paths followed by n catalyst paths.  The cuts of a pair are 0, t,
     X's epochs and t minus Y's epochs, the epochs clipped to t.  Both paths
     are constant on each piece between two consecutive cuts, so one lookup
-    at the piece's midpoint decides it.  Cuts and epochs are `_keyed` by
-    their pair or path index, so one sort orders every pair's cuts, and one
-    searchsorted per side counts, for every piece, its own path's epochs up
-    to the midpoint (X) or up to t minus the midpoint (Y).  Equal cuts only
-    add zero-length pieces, which add exact zeros to a pair's `math.fsum`;
-    the piece from one pair's last cut to the next pair's first is left out
-    of both sums.
+    at the piece's midpoint decides it, and each path's position there is
+    its row after the epochs up to the midpoint (X) or up to t minus it (Y).
+    Every pair's cuts are sorted at once; a piece of positive length from
+    a to b then has X's cuts up to a before it and Y's cuts from b on after
+    it, so running counts of each side's cuts in that order are the
+    lookups.  That holds for t - mid against t minus Y's epochs, each
+    rounded, once the piece is longer than 3 ulps of t; the few pieces up
+    to 4 ulps long search the epochs at the rounded midpoint as
+    `_pair_measure` does.  Pieces of length zero add nothing, and a pair's
+    sum is `_run_sums`' fsum of its hit pieces.
     """
     pair = np.arange(len(counts) // (p + n) * p * n)
     group = (p + n) * (pair // (p * n))
     xi, yi = group + pair // n % p, group + p + pair % n
     first = counts.cumsum() - counts
-    keys = _keyed(np.arange(len(counts)).repeat(counts), epochs)
     cx, cy = counts[xi], counts[yi]
     clipped = np.minimum(epochs, t)
-    cuts = _keyed(
-        np.concatenate((pair, pair, pair.repeat(cx), pair.repeat(cy))),
-        np.concatenate((np.zeros(len(pair)), np.full(len(pair), t),
-                        clipped[_ranges(first[xi], cx)],
-                        t - clipped[_ranges(first[yi], cy)])))
-    cuts.sort()
-    owner = cuts.real.astype(np.intp)
-    a, b = cuts.imag[:-1], cuts.imag[1:]
-    mid = 0.5 * (a + b)
-    x, y = xi[owner[:-1]], yi[owner[:-1]]
-    rx = keys.searchsorted(_keyed(x, mid), side="right") + x
-    ry = keys.searchsorted(_keyed(y, t - mid), side="right") + y
-    hit = (positions[rx] == positions[ry]).all(axis=1)
-    lengths = np.where(hit, b - a, 0.0).tolist()
-    ends = (2 + cx + cy).cumsum().tolist()
-    return [math.fsum(lengths[lo:hi - 1]) for lo, hi in zip([0] + ends, ends)]
+    values = np.concatenate((np.zeros(len(pair)), np.full(len(pair), t),
+                             clipped[_ranges(first[xi], cx)],
+                             t - clipped[_ranges(first[yi], cy)]))
+    owner = np.concatenate((pair, pair, pair.repeat(cx), pair.repeat(cy)))
+    # an argsort of the values, then a stable sort by pair: numpy's radix
+    # sort while the pairs fit in 16 bits
+    order = np.argsort(values)
+    by_pair = owner[order].astype(np.uint16 if len(pair) <= 1 << 16 else np.intp)
+    order = order[np.argsort(by_pair, kind="stable")]
+    x_cuts = 2 * len(pair) + cx.sum()
+    ran_x = ((order >= 2 * len(pair)) & (order < x_cuts)).cumsum()
+    ran_y = (order >= x_cuts).cumsum()
+    values = values[order]
+    lengths = values[1:] - values[:-1]
+    # one pair's last cut, t, is never below the next pair's first, 0
+    live = np.flatnonzero(lengths > 0)
+    at = owner[order[live]]
+    rx = ran_x[live] - (cx.cumsum() - cx)[at]
+    ry = cy.cumsum()[at] - ran_y[live]
+    x, y = xi[at], yi[at]
+    for k in np.flatnonzero(lengths[live] <= 4 * math.ulp(t)).tolist():
+        mid = 0.5 * (values[live[k]] + values[live[k] + 1])
+        ex = epochs[first[x[k]]:first[x[k]] + counts[x[k]]]
+        ey = epochs[first[y[k]]:first[y[k]] + counts[y[k]]]
+        rx[k], ry[k] = ex.searchsorted(mid, "right"), ey.searchsorted(t - mid, "right")
+    codes = _position_codes(positions)
+    hit = codes[first[x] + x + rx] == codes[first[y] + y + ry]
+    return _run_sums(lengths[live[hit]], np.bincount(at[hit], minlength=len(pair)))
 
 
 def _pair_measure(x: JumpPath, y: JumpPath, t: float) -> float:
@@ -442,7 +485,7 @@ def _logws(params: PamParams, t: float, counts: np.ndarray, epochs: np.ndarray,
     positions = _positions(params.d, (0,) * params.d, t, counts, epochs, axes, signs)
     measures = _collision_measures(t, params.p, params.n, counts, epochs, positions)
     pairs = params.p * params.n
-    return [math.fsum(measures[k:k + pairs]) for k in range(0, len(measures), pairs)]
+    return _run_sums(measures, np.full(len(measures) // pairs, pairs)).tolist()
 
 
 def _block_logws(params: PamParams, t: float, draws: list) -> list[float]:
@@ -452,21 +495,140 @@ def _block_logws(params: PamParams, t: float, draws: list) -> list[float]:
     return _logws(params, t, counts, *(np.concatenate(column) for column in zip(*draws)))
 
 
+def _poisson_counts(words: np.ndarray, at: np.ndarray, end: np.ndarray, lam: float):
+    """numpy's `poisson(lam)` for each row, read from words at[row] up to,
+    at most, end[row]: below lam = 10 numpy's running product of
+    `next_double`s (`random_poisson_mult`), from lam = 10 its PTRS rejection
+    (`random_poisson_ptrs`), each with numpy's operations in numpy's order.
+
+    Returns the counts, each row's next word, the rows that ran past their
+    end, and whether a count may differ from numpy's: a product that
+    outlasts its window (odds below 1e-10), or a PTRS log test within 2^-40
+    of its terms' size of its threshold.  There numpy takes libm's log and
+    its own log-gamma; numpy's vector log is within an ulp of libm's, and
+    `gammaln` within 4e-16 (relative) of numpy's log-gamma.
+    """
+    if lam < 10:
+        idx = at[:, None] + np.arange(int(lam + 7 * math.sqrt(lam)) + 9)
+        # `_uniform(w, 1.0)` is numpy's next_double; its cumprod is numpy's product
+        prod = np.cumprod(_uniform(words[np.minimum(idx, len(words) - 1)], 1.0), axis=1)
+        stop = (prod <= math.exp(-lam)) | (idx >= end[:, None])
+        count = stop.argmax(axis=1)
+        return count, at + count + 1, at + count >= end, not stop.any(axis=1).all()
+    loglam = math.log(lam)
+    b = 0.931 + 2.53 * math.sqrt(lam)
+    a = -0.059 + 0.02483 * b
+    log_alpha = math.log(1.1239 + 1.1328 / (b - 3.4))
+    vr = 0.9277 - 3.6224 / (b - 2)
+    count, short, unsure = np.zeros(len(at), dtype=np.int64), np.zeros(len(at), dtype=bool), False
+    rows, at, tries = np.arange(len(at)), at.copy(), 2 * np.arange(_PTRS_TRIES)
+    while rows.size:
+        # the next _PTRS_TRIES (U, V) word pairs of each row at once
+        i = at[rows][:, None] + tries
+        past = i + 2 > end[rows][:, None]
+        i = np.minimum(i, len(words) - 2)
+        U = _uniform(words[i], 1.0) - 0.5
+        V = _uniform(words[i + 1], 1.0)
+        us = 0.5 - np.abs(U)
+        with np.errstate(divide="ignore"):
+            k = np.floor((2 * a / us + b) * U + lam + 0.43)
+        again = (us < 0.07) | (V > vr)
+        test = np.flatnonzero(again & (k >= 0) & ((us >= 0.013) | (V <= us)))
+        if test.size:
+            kt, ut = k.ravel()[test], us.ravel()[test]
+            with np.errstate(divide="ignore"):
+                log_v, log_q = np.log(V.ravel()[test]), np.log(a / (ut * ut) + b)
+            lgam = gammaln(kt + 1)
+            lhs, rhs = log_v + log_alpha - log_q, -lam + kt * loglam - lgam
+            size = 1 + lam + kt * loglam + lgam + np.abs(log_v) + np.abs(log_q)
+            # a near test after the accepted try is no draw of numpy's: refused all the same
+            unsure |= bool((np.abs(lhs - rhs) <= 2.0 ** -40 * size).any())
+            again.ravel()[test] = lhs > rhs
+        stop = ~again | past
+        found, j = stop.any(axis=1), stop.argmax(axis=1)
+        at_j = np.arange(len(rows)) * len(tries) + j
+        over = found & past.ravel()[at_j]
+        short[rows[over]] = True
+        done = found & ~over
+        count[rows[done]] = k.ravel()[at_j[done]]
+        at[rows] += np.where(found, tries[j] + 2, 2 * len(tries))
+        rows = rows[~found]
+    return count, at, short, unsure
+
+
+def _words_per_sample(lams, d: int) -> int:
+    """Words read for each sample: 6 standard deviations past the words its
+    paths read on average.  Per jump a path reads an epoch word, half a
+    word of halves at d=1 or a whole one above, and below lam = 10 a
+    Poisson factor; per path a few more (the product's last factor, PTRS's
+    tries, a half word)."""
+    per_jump = [(lam < 10) + (1.5 if d == 1 else 2.0) for lam in lams]
+    mean = sum(f * lam for f, lam in zip(per_jump, lams))
+    var = sum(f * f * lam for f, lam in zip(per_jump, lams))
+    return int(mean + 6 * math.sqrt(var)) + 4 * len(lams) + 8
+
+
+def _read_block(words: np.ndarray, width: int, lams, d: int, t: float):
+    """`_draw`'s draws for a block of samples, each from its own width words,
+    path by path: (exact, counts, epochs, axes, signs) in `_logws`' order,
+    or None where a sample ran past its words.
+
+    Each path reads its count (`_poisson_counts`), count epoch words, then
+    the new words of its halves, after a half carried from the path before
+    (`_path_words`); the sample's half words, put end to end, are its
+    halves in draw order (`_decode`).  exact is False where a count may
+    differ from numpy's or numpy would reject a half.
+    """
+    samples = len(words) // width
+    at = np.arange(samples) * width
+    end, carried = at + width, np.zeros(samples, dtype=np.int64)
+    short, unsure, columns = np.zeros(samples, dtype=bool), False, []
+    for lam in lams:
+        count = np.zeros(samples, dtype=np.int64)
+        if lam is not None:
+            count, at, ran_out, doubt = _poisson_counts(words, at, end, lam)
+            short |= ran_out
+            unsure |= doubt
+        halves = count if d == 1 else 2 * count
+        new = (halves - carried + 1) // 2
+        columns.append((count, at, at + count, new, halves))
+        at = at + count + new
+        carried += 2 * new - halves
+    if (short | (at > end)).any():
+        return None
+    counts, epoch_at, half_at, new, halves = (np.stack(c, axis=1) for c in zip(*columns))
+    counts = counts.ravel()
+    # each path's epochs sorted, as `_draw` sorts them: by the 53 bits
+    # `_uniform` reads, below the path's index, 2^11 paths per uint64 sort
+    path = np.arange(len(counts)).repeat(counts)
+    keys = words[_ranges(epoch_at.ravel(), counts)] >> 11 | (path % 2048).astype(np.uint64) << 53
+    for run in np.split(keys, np.searchsorted(path, np.arange(2048, len(counts), 2048))):
+        run.sort()
+    epochs = _uniform(keys << 11, t)
+    # a sample's halves start at the first half of its first half word
+    base = 2 * (new.sum(axis=1).cumsum() - new.sum(axis=1))
+    starts = base[:, None] + halves.cumsum(axis=1) - halves
+    axes, signs, rejected = _decode(d, counts, starts.ravel(),
+                                    words[_ranges(half_at.ravel(), new.ravel())])
+    return not (unsure or rejected), counts, epochs, axes, signs
+
+
 def _chunk_logws(args) -> tuple[np.ndarray, int, int]:
-    """log W of samples lo..hi-1, drawn sample by sample, evaluated in blocks,
-    with the number of jumps drawn and of blocks drawn again.
+    """log W of samples lo..hi-1, read and evaluated in blocks, with the
+    number of jumps drawn and of blocks drawn again.
 
     Sample i's draws are `_draw`'s for its p walkers, then its n catalysts,
-    from a new Philox(key=(seed, i)).  Each path's count comes from the
-    Generator's `poisson`; its epochs, axes and signs are read instead as
-    raw Philox words, one `_path_words` call per path, and decoded a block
-    at a time (`_uniform` and `_decode`).  The axes and signs take 32-bit
-    halves, low then high, and a half left over is the next path's first:
-    `random_raw` and `poisson` leave numpy's half buffer alone, so the
-    paths' half words, put end to end, are the sample's halves in draw
-    order.  numpy rejects a half with odds below r / 2^32 and reads another,
-    which moves every later draw; a block holding such a half is drawn
-    again through `_draw`.
+    from a new Philox(key=(seed, i)).  One Philox serves every sample: its
+    key is reset to (seed, i) and the sample's words are read in one
+    `random_raw` call, 6 standard deviations more than its paths read on
+    average (`_words_per_sample`).  A block of samples is decoded at once
+    (`_read_block`): path by path, the words of the count's Poisson draw,
+    the epoch words and the words of the axis and sign halves.  A block
+    with a sample that ran past its words is read again with twice as
+    many.  numpy rejects a half with odds below r / 2^32 and reads another,
+    which moves every later draw; a block holding such a half, or a count
+    that may differ from numpy's, is drawn again through `_draw` and
+    counted as redrawn.
     """
     params, t, seed, lo, hi = args
     d = params.d
@@ -476,50 +638,39 @@ def _chunk_logws(args) -> tuple[np.ndarray, int, int]:
     lams = [2.0 * d * nu * t if nu > 0 else None for nu in rates]
     bits = np.random.Philox(key=np.array([seed, lo], dtype=np.uint64))
     rng = np.random.Generator(bits)
-    fresh = bits.state
+    # the state of a new Philox, its key set per sample, held in lists,
+    # which the state setter reads faster than arrays
+    state, key = bits.state, [seed, lo]
+    state["state"] = {"counter": state["state"]["counter"].tolist(), "key": key}
+    state["buffer"] = state["buffer"].tolist()
 
     def restart(i):
         # the state of a new Philox(key=(seed, i)), set without building one
-        fresh["state"]["key"] = np.array([seed, i], dtype=np.uint64)
-        bits.state = fresh
+        key[1] = i
+        bits.state = state
+        return bits
 
+    width = _words_per_sample([lam for lam in lams if lam is not None], d)
+    block = max(1, int(_BLOCK_JUMPS / max(1.0, sum(lam or 0.0 for lam in lams))))
     logws, jumps, redrawn = [], 0, 0
-    first, counts, starts, words, base, block_jumps = lo, [], [], [], 0, 0
-    for i in range(lo, hi):
-        restart(i)
-        used = 0        # 32-bit halves this sample's paths have drawn; the
-                        # block's samples before it drew base halves
-        for lam in lams:
-            count = int(rng.poisson(lam)) if lam is not None else 0
-            counts.append(count)
-            block_jumps += count
-            starts.append(base + used)
-            words.append(_path_words(bits, d, count, used % 2) if count else _NO_WORDS)
-            used += count if d == 1 else 2 * count
-        base += 2 * ((used + 1) // 2)
-        if block_jumps >= _BLOCK_JUMPS or i == hi - 1:
-            jumps += block_jumps
-            counts = np.array(counts)
-            sizes = np.array([len(w) for w in words])
-            raw = np.concatenate(words)
-            at_epochs = _ranges(sizes.cumsum() - sizes, counts)
-            half_words = np.ones(len(raw), dtype=bool)
-            half_words[at_epochs] = False
-            axes, signs, rejected = _decode(d, counts, np.array(starts), raw[half_words])
-            if rejected:
-                redrawn += 1
-                draws = []
-                for j in range(first, i + 1):
-                    restart(j)
-                    draws += [_draw(d, nu, t, rng) for nu in rates]
-                logws += _block_logws(params, t, draws)
-            else:
-                # each path's epochs sorted, as `_draw` sorts them
-                keyed = _keyed(np.arange(len(counts)).repeat(counts),
-                               _uniform(raw[at_epochs], t))
-                keyed.sort()
-                logws += _logws(params, t, counts, keyed.imag, axes, signs)
-            first, counts, starts, words, base, block_jumps = i + 1, [], [], [], 0, 0
+    for first in range(lo, hi, block):
+        samples, size, read = range(first, min(first + block, hi)), width, None
+        while read is None:
+            words = np.concatenate([restart(i).random_raw(size) for i in samples])
+            read = _read_block(words, size, lams, d, t)
+            size *= 2
+        exact, counts, epochs, axes, signs = read
+        if exact:
+            jumps += int(counts.sum())
+            logws += _logws(params, t, counts, epochs, axes, signs)
+        else:
+            redrawn += 1
+            draws = []
+            for i in samples:
+                restart(i)
+                draws += [_draw(d, nu, t, rng) for nu in rates]
+            jumps += sum(len(epochs) for epochs, _, _ in draws)
+            logws += _block_logws(params, t, draws)
     return np.array(logws), jumps, redrawn
 
 
@@ -537,8 +688,14 @@ def lambda_mc(params: PamParams, t: float, samples: int, seed: int,
         raise ValueError(f"horizon must be finite, got t={t}")
     if samples < 2:
         raise ValueError(f"need at least 2 samples, got {samples}")
-    if seed is None or seed < 0:
-        raise ValueError("a non-negative integer seed is required")
+    try:
+        # a float or a bool would pass into the uint64 key silently
+        key = None if isinstance(seed, bool) else operator.index(seed)
+    except TypeError:
+        key = None
+    if key is None or not 0 <= key < 1 << 64:
+        raise ValueError(f"the seed must be an integer in [0, 2**64), got {seed!r}")
+    seed = key
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
 

@@ -165,6 +165,20 @@ def test_sample_path_validation():
             sample_path(1, nu, math.inf, rng)
 
 
+@pytest.mark.parametrize("nu", [math.nan, math.inf])
+def test_a_nan_or_infinite_rate_is_refused(nu):
+    # nu < 0 and nu > 0 are both false for NaN, which drew no jumps
+    rng = np.random.Generator(np.random.Philox(key=np.uint64(0)))
+    with pytest.raises(ValueError, match="rate must be finite"):
+        sample_path(3, nu, 1.0, rng)
+    with pytest.raises(ValueError, match="rate must be finite"):
+        montecarlo._draw(3, nu, 1.0, rng)
+    params = PamParams(d=2, n=1, p=1, kappa=0.1, rho=0.1)
+    object.__setattr__(params, "kappa", nu)   # PamParams itself refuses it
+    with pytest.raises(ValueError, match="rate must be finite"):
+        lambda_mc(params, t=1.0, samples=10, seed=1)
+
+
 # ---------------------------------------------------------------------------
 # sample_path's word route
 # ---------------------------------------------------------------------------
@@ -377,6 +391,23 @@ def test_lambda_mc_validation():
         lambda_mc(params, t=1.0, samples=10, seed=-3)
     with pytest.raises(ValueError):
         lambda_mc(params, t=1.0, samples=10, seed=1, workers=0)
+
+
+@pytest.mark.parametrize("seed", [1.5, True, np.True_, "1", None, -1, 2**64])
+def test_lambda_mc_refuses_a_seed_that_is_no_64_bit_integer(seed):
+    # 1.5 and True once ran as seed 1; 2**64 failed in numpy
+    params = PamParams(d=1, n=1, p=1, kappa=0.1, rho=0.1)
+    with pytest.raises(ValueError, match=r"the seed must be an integer in \[0, 2\*\*64\)"):
+        lambda_mc(params, t=1.0, samples=10, seed=seed)
+
+
+def test_lambda_mc_takes_every_64_bit_seed():
+    params = PamParams(d=1, n=1, p=1, kappa=0.25, rho=0.25)
+    top = lambda_mc(params, t=2.0, samples=20, seed=2**64 - 1)
+    assert top == lambda_mc(params, t=2.0, samples=20, seed=np.uint64(2**64 - 1))
+    assert type(top.seed) is int and top.seed == 2**64 - 1
+    assert lambda_mc(params, t=2.0, samples=20, seed=np.int64(7)) == lambda_mc(
+        params, t=2.0, samples=20, seed=7)
 
 
 def test_lambda_mc_refuses_a_nan_horizon():
@@ -695,8 +726,8 @@ class FedStream:
 def test_equal_epochs_raise_through_the_fast_route(monkeypatch):
     with pytest.raises(ValueError, match="strictly increasing"):
         sample_path(1, 0.5, 1.0, FedStream())
-    # the counts still come from Philox: at rate 2*d*kappa*t = 5 some of the
-    # 8 paths have two jumps or more
+    # the counts come from the same words: each reads 0.5 as numpy's
+    # next_double, so at lam = 2*d*kappa*t = 5 every path has 7 jumps
     monkeypatch.setattr(montecarlo.np.random, "Philox", EqualWords)
     params = PamParams(d=1, n=1, p=1, kappa=2.5, rho=2.5)
     with pytest.raises(ValueError, match="strictly increasing"):
@@ -727,6 +758,10 @@ WORD_ROUTE_CASES = [
     (PamParams(d=4, n=1, p=2, kappa=0.2, rho=0.1), 2.0),
     (PamParams(d=5, n=1, p=1, kappa=0.0, rho=0.2), 2.0),
     (PamParams(d=3, n=1, p=1, kappa=0.25, rho=0.25), 20.0),
+    # the bench's d=1 rate, lam = 10, numpy's switch to PTRS
+    (PamParams(d=1, n=1, p=1, kappa=0.25, rho=0.25), 20.0),
+    # a sample mixing the running product (lam 2.4) with PTRS (lam 12)
+    (PamParams(d=2, n=1, p=1, kappa=0.3, rho=1.5), 2.0),
 ]
 
 
@@ -744,12 +779,141 @@ def test_word_route_matches_the_drawn_route(monkeypatch, params, t, block_jumps)
     assert sum(part[2] for part in parts) == redrawn == 0
 
 
+@pytest.mark.parametrize("params, t", WORD_ROUTE_CASES)
+def test_samples_past_their_words_are_read_again(monkeypatch, params, t):
+    # at its own width a sample runs past its words with odds below 1e-9;
+    # at 16 words most samples do, and their blocks are read again with 32,
+    # 64, ... words, the samples that fitted included
+    reads = []
+    read_block = montecarlo._read_block
+
+    def spy(words, width, *args):
+        read = read_block(words, width, *args)
+        reads.append(read is None)
+        return read
+
+    monkeypatch.setattr(montecarlo, "_words_per_sample", lambda lams, d: 16)
+    monkeypatch.setattr(montecarlo, "_read_block", spy)
+    logws, jumps, redrawn = drawn_chunk((params, t, 9, 0, 300))
+    got, got_jumps, got_redrawn = montecarlo._chunk_logws((params, t, 9, 0, 300))
+    assert got.tolist() == logws.tolist()
+    assert (got_jumps, got_redrawn) == (jumps, redrawn)
+    assert any(reads)
+
+
 @pytest.mark.parametrize("params, t", WORD_ROUTE_CASES[:3])
 def test_word_route_matches_the_drawn_route_with_workers(monkeypatch, params, t):
     fast = lambda_mc(params, t=t, samples=400, seed=5, workers=2)
     monkeypatch.setattr(montecarlo, "_chunk_logws", drawn_chunk)
     drawn = lambda_mc(params, t=t, samples=400, seed=5)
     assert fast == drawn
+
+
+@pytest.mark.parametrize("lam", [0.5, 3.0, 9.99, 10.0, 25.0])
+def test_poisson_counts_read_numpys_draws_from_words(lam):
+    # each of 100,000 keys: the count `Generator.poisson` draws from a new
+    # Philox, and the word after it, against `_poisson_counts` on the words
+    # of the same key (the running product below lam = 10, PTRS above,
+    # some rows with more than one pass of PTRS tries)
+    width = int(lam + 7 * math.sqrt(lam)) + 24
+    bits = np.random.Philox(key=np.array([17, 0], dtype=np.uint64))
+    rng = np.random.Generator(bits)
+    state = bits.state
+    for block in range(10):
+        keys = range(block * 10_000, (block + 1) * 10_000)
+        words, counts, nexts = [], [], []
+        for i in keys:
+            state["state"]["key"] = np.array([17, i], dtype=np.uint64)
+            bits.state = state
+            words.append(bits.random_raw(width))
+            bits.state = state
+            counts.append(int(rng.poisson(lam)))
+            nexts.append(int(bits.random_raw()))
+        words = np.concatenate(words)
+        at = np.arange(len(keys)) * width
+        got, after, short, unsure = montecarlo._poisson_counts(words, at, at + width, lam)
+        assert not short.any() and not unsure and (after < at + width).all()
+        assert got.tolist() == counts
+        assert words[after].tolist() == nexts
+
+
+def test_poisson_counts_flag_rows_past_their_words():
+    # rows of 3 words: a count that needs more is short, the others exact
+    bits = np.random.Philox(key=np.array([3, 0], dtype=np.uint64))
+    rng = np.random.Generator(bits)
+    state = bits.state
+    for lam in (3.0, 10.0):
+        words, counts = [], []
+        for i in range(400):
+            state["state"]["key"] = np.array([3, i], dtype=np.uint64)
+            bits.state = state
+            words.append(bits.random_raw(3))
+            bits.state = state
+            counts.append(int(rng.poisson(lam)))
+        at = np.arange(400) * 3
+        got, after, short, _ = montecarlo._poisson_counts(np.concatenate(words), at, at + 3, lam)
+        assert 0 < short.sum() < 400
+        assert (after[~short] <= at[~short] + 3).all()
+        assert got[~short].tolist() == np.array(counts)[~short].tolist()
+
+
+def word(x):
+    """The Philox word numpy's next_double reads as x, to 53 bits."""
+    return int(x * 2**53) << 11
+
+
+def test_poisson_counts_flag_counts_they_cannot_vouch_for():
+    # factors of 1 - 2^-53 outlast the running product's window...
+    at = np.array([0])
+    ones = np.full(64, 2**64 - 1, dtype=np.uint64)
+    _, _, short, unsure = montecarlo._poisson_counts(ones, at, at + 64, 3.0)
+    assert unsure and not short.any()
+    # ... or, where the row ends inside the window, run past its words
+    _, _, short, unsure = montecarlo._poisson_counts(ones, at, at + 8, 3.0)
+    assert short.all() and not unsure
+    # a PTRS try whose log test lands on its threshold, as numpy's formulas
+    # give it: V is picked so that both sides agree to 53 bits
+    lam = 10.0
+    b = 0.931 + 2.53 * math.sqrt(lam)
+    a = -0.059 + 0.02483 * b
+    U = word(0.6) / 2.0**64 - 0.5
+    us = 0.5 - abs(U)
+    k = math.floor((2 * a / us + b) * U + lam + 0.43)
+    V = math.exp(-lam + k * math.log(lam) - math.lgamma(k + 1)
+                 - math.log(1.1239 + 1.1328 / (b - 3.4)) + math.log(a / (us * us) + b))
+    assert 0.9277 - 3.6224 / (b - 2) < V < 1      # past the quick acceptance
+    words = np.array([word(0.6), word(V)] + [word(0.5)] * 14, dtype=np.uint64)
+    _, _, short, unsure = montecarlo._poisson_counts(words, at, at + 16, lam)
+    assert unsure and not short.any()
+    words[1] = word(V - 1e-6)                       # clearly accepted: k jumps
+    count, after, short, unsure = montecarlo._poisson_counts(words, at, at + 16, lam)
+    assert (count.tolist(), after.tolist(), short.any(), unsure) == ([k], [2], False, False)
+
+
+def test_position_codes_are_equal_exactly_where_rows_are():
+    rng = np.random.Generator(np.random.Philox(key=np.uint64(5)))
+    for scale in (3, 2**40):          # one radix in int64, and past it
+        positions = rng.integers(-2, 3, size=(300, 3)) * scale
+        codes = montecarlo._position_codes(positions)
+        same = (positions[:, None] == positions[None]).all(axis=2)
+        assert ((codes[:, None] == codes[None]) == same).all()
+
+
+def test_a_count_it_cannot_vouch_for_redraws_its_block(monkeypatch):
+    poisson_counts, calls = montecarlo._poisson_counts, []
+
+    def first_unsure(*args):
+        count, after, short, unsure = poisson_counts(*args)
+        calls.append(args)
+        return count, after, short, unsure or len(calls) == 1
+
+    monkeypatch.setattr(montecarlo, "_poisson_counts", first_unsure)
+    params = PamParams(d=3, n=2, p=2, kappa=0.1, rho=0.1)
+    est = lambda_mc(params, t=3.0, samples=300, seed=2024)
+    assert (est.lambda_t, est.stderr, est.ess) == (
+        GOLDEN["lambda_t"], GOLDEN["stderr"], GOLDEN["ess"])
+    assert est.redrawn_blocks == 1
+    assert est.jumps == drawn_chunk((params, 3.0, 2024, 0, 300))[1]
 
 
 def test_decode_flags_the_words_numpy_rejects():
@@ -782,24 +946,40 @@ def test_decode_flags_the_words_numpy_rejects():
             assert montecarlo._decode_path(1, count, listed[k:]) == ([1] * count, signs.tolist())
 
 
-class FirstHalfZero(np.random.Philox):
-    """Philox whose first `random_raw` call reads 0 as its first half after
-    the epoch words, which numpy rejects as a draw from a range of 3.
+def words_before_first_axis(seed, lam):
+    """The first path of sample 0 (key (seed, 0)): its count, and the words
+    its Poisson draw and its epochs read, by numpy's own calls.  The next
+    word's low half is the path's first axis half: a sample starts with no
+    half carried."""
+    bits = np.random.Philox(key=np.array([seed, 0], dtype=np.uint64))
+    raw = np.random.Philox(key=np.array([seed, 0], dtype=np.uint64)).random_raw(64)
+    count = int(np.random.Generator(bits).poisson(lam))
+    return count, int(np.flatnonzero(raw == bits.random_raw())[0]) + count
 
-    That call is the first path's with a jump, at d=3 with no half carried:
-    count epoch words, then count words of halves, the first axis half the
-    low half of the first of them."""
+
+class FirstHalfZero(np.random.Philox):
+    """Philox whose first `random_raw` call reads 0 as the low half of word
+    `at`, which numpy rejects as a draw from a range of 3.
+
+    That call reads sample 0's words; `at` is set to the word after its
+    first path's Poisson and epoch words (`words_before_first_axis`)."""
+
+    at = None
 
     def random_raw(self, size=None, output=True):
         words = super().random_raw(size, output)
         if not getattr(self, "zeroed", False):
-            words[size // 2], self.zeroed = 0, True
+            words[self.at] &= np.uint64(0xFFFFFFFF00000000)
+            self.zeroed = True
         return words
 
 
 def test_rejected_word_redraws_its_block(monkeypatch):
-    monkeypatch.setattr(montecarlo.np.random, "Philox", FirstHalfZero)
     params = PamParams(d=3, n=2, p=2, kappa=0.1, rho=0.1)
+    count, at = words_before_first_axis(2024, 2 * 3 * 0.1 * 3.0)
+    assert count > 0
+    monkeypatch.setattr(FirstHalfZero, "at", at)
+    monkeypatch.setattr(montecarlo.np.random, "Philox", FirstHalfZero)
     est = lambda_mc(params, t=3.0, samples=300, seed=2024)
     assert (est.lambda_t, est.stderr, est.ess) == (
         GOLDEN["lambda_t"], GOLDEN["stderr"], GOLDEN["ess"])

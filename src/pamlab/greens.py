@@ -490,7 +490,7 @@ def _mc_green_zero(d: int, seed: int, samples: int) -> GreenEstimate:
         th = rng.uniform(0.0, math.pi, size=(block, d))
         vals = 1.0 / (2.0 * np.sum(1.0 - np.cos(th), axis=1))
         total += float(vals.sum())
-        total_sq += float(np.dot(vals, vals))
+        total_sq += float((vals * vals).sum())
         remaining -= block
     mean = total / samples
     var = max(total_sq / samples - mean * mean, 0.0)
@@ -515,6 +515,8 @@ def green_zero(d: int, tol: float = 1e-9, method: str = "time-integral",
     if d < 1:
         raise ValueError(f"dimension must be >= 1, got d={d}")
     _check_tol(tol)
+    if method not in ("time-integral", "fourier-quadrature", "monte-carlo"):
+        raise ValueError(f"unknown method {method!r}")
     if method == "time-integral":
         return _green_zero_cached(d, float(tol))
     if d <= 2:
@@ -522,9 +524,7 @@ def green_zero(d: int, tol: float = 1e-9, method: str = "time-integral",
                              method=method)
     if method == "fourier-quadrature":
         return _fourier_green_zero(d, tol)
-    if method == "monte-carlo":
-        return _mc_green_zero(d, seed, samples)
-    raise ValueError(f"unknown method {method!r}")
+    return _mc_green_zero(d, seed, samples)
 
 
 @lru_cache(maxsize=1024)

@@ -31,7 +31,7 @@ import os
 from dataclasses import dataclass
 from typing import Sequence
 
-from . import greens, spectral
+from . import greens
 from .spectral import ConvergenceError, PamParams, lambda_spectral, mu, mu_inverse
 
 __all__ = [
@@ -246,15 +246,10 @@ def _safe_row_job(args) -> PhaseRow:
 
 
 def _grid_digest(jobs) -> str:
-    """A key of the grid and of the live thread count of scipy's OpenBLAS.
-
-    ARPACK's last bits move with that count on large boxes, so a cursor
-    left under another count is stale and the sweep starts fresh.  The
-    count goes into the cursor only, never into the CSV or the manifest.
-    """
-    threads = spectral._openblas_threads("scipy")
-    payload = json.dumps([[j[:5] + (list(j[5] or []), j[6]) for j in jobs],
-                          "no bundled OpenBLAS" if threads is None else threads])
+    """A key of the grid, which a cursor must match to be resumed.  No row
+    depends on the BLAS thread count (every eigensolve runs on one OpenBLAS
+    thread), so a sweep resumes under any count."""
+    payload = json.dumps([j[:5] + (list(j[5] or []), j[6]) for j in jobs])
     return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
@@ -294,10 +289,10 @@ def sweep(d: int, n: int, p_values: Sequence[int], kappas: Sequence[float],
     replaced atomically after every row, records the rows done and the CSV's
     byte length at that point; with resume=True a matching interrupted sweep
     cuts the CSV back to that length and continues after its last recorded
-    row, so the finished file equals an uninterrupted sweep's.  A cursor
-    matches when its grid and the thread count of scipy's OpenBLAS are the
-    ones of this call (_grid_digest); an unreadable or unmatched cursor
-    starts a fresh sweep.
+    row, so the finished file equals an uninterrupted sweep's, also when
+    it resumes under another BLAS thread count.  A cursor matches when its
+    grid is the one of this call (_grid_digest); an unreadable or unmatched
+    cursor starts a fresh sweep.
     """
     if d < 1 or n < 1:
         raise ValueError(f"d and n must be positive, got d={d}, n={n}")

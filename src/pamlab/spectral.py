@@ -63,7 +63,7 @@ import ctypes
 import itertools
 import math
 import os
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from functools import cache, lru_cache
 from typing import NamedTuple, Sequence
@@ -561,17 +561,6 @@ class _Solution(NamedTuple):
 # O(size^3) reduction passes ARPACK's 42-62 sparse products.
 _DENSE_CUTOFF = 240
 
-# At most this many unknowns, a solve runs on one thread of scipy's and of
-# numpy's OpenBLAS (_one_blas_thread), dense or ARPACK: there a second
-# thread saves no wall time and only spins.  On a 2-core Xeon (median of 5
-# solves, 5 alternated pairs of fresh interpreters), ARPACK on one thread
-# was no slower than on 2 and took half the CPU time at every size measured
-# up to 24,649 unknowns, restarted solves included (17,661 unknowns, 142
-# products: 143 ms against 171 ms); at 33,826 a restarted solve (162
-# products) took 332 ms on one thread against 296 ms on 2.  Unrestarted
-# solves stay faster on one thread to at least 116,281 unknowns.
-_ONE_THREAD_CUTOFF = 24_649
-
 # ARPACK's Lanczos basis size (ncv) and restart count (maxiter): the former
 # defaults, ncv = min(40, size - 1) and maxiter = max(4, 800 // ncv), as they
 # come out on every problem ARPACK sees, which has more than _DENSE_CUTOFF
@@ -631,8 +620,9 @@ def _openblas_threads(package: str) -> int | None:
 
 @contextmanager
 def _one_blas_thread():
-    """Run the block on one thread of scipy's and of numpy's OpenBLAS and
-    restore the caller's counts after it, also when it raises.
+    """Run the block, or as a decorator the function, on one thread of
+    scipy's and of numpy's OpenBLAS and restore the caller's counts after
+    it, also when it raises.
 
     syevr's last bits depend on how many threads its BLAS calls split the
     work over, so a dense value pinned this way reads the same whatever
@@ -654,64 +644,56 @@ def _one_blas_thread():
             f(count)
 
 
+@_one_blas_thread()
 def _top_pair(A: sparse.csr_matrix, v0: np.ndarray, tol: float, scale: float) -> _Solution:
     """Top eigenpair of the symmetric sparse matrix A; converged means
     residual ||A v - theta v||_2 <= tol, and scale bounds ||A||.
 
     At most _DENSE_CUTOFF unknowns, A is made dense in one product A @ I and
     LAPACK's MRRR driver (syevr) computes its top eigenpair alone, at the
-    cost of size + 1 operator applications.  syevr runs on one OpenBLAS
-    thread (_one_blas_thread), so its value does not depend on the BLAS
-    thread count.  Larger problems go to _krylov_top from v0, normalised
-    here: above _DENSE_CUTOFF the O(size^3) reduction costs more than
-    ARPACK's few dozen products.  ARPACK, with the normalisation, runs on
-    one thread up to _ONE_THREAD_CUTOFF unknowns and on the caller's thread
-    count above it.
+    cost of size + 1 operator applications.  Larger problems go to
+    implicitly-restarted Lanczos (ARPACK) from v0, normalised here: above
+    _DENSE_CUTOFF the O(size^3) reduction costs more than ARPACK's few
+    dozen products.  ARPACK's stopping rule is relative and internal;
+    convergence is declared only from our own residual, and a pair that
+    misses it is returned unconverged.  With k=1, ARPACK raises
+    ArpackNoConvergence only when no Ritz value converged, and then returns
+    none; the best iterate is then the unit start vector.  Either way theta
+    is a Rayleigh quotient, so even an unconverged pair is a lower bound.
+
+    Both solvers, with the dot products around them, run on one OpenBLAS
+    thread (_one_blas_thread) at every size, so no value depends on the
+    BLAS thread count.  A second thread saved no wall time up to at least
+    24,649 unknowns; above about 30,000 a restarted solve takes longer on
+    one thread, but less CPU.
     """
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be finite and > 0, got {tol}")
     size = v0.size
-    if size > _DENSE_CUTOFF:
-        with _one_blas_thread() if size <= _ONE_THREAD_CUTOFF else nullcontext():
-            return _krylov_top(A.dot, v0 / np.linalg.norm(v0), tol, scale)
-    M = A.dot(np.eye(size))
-    with _one_blas_thread():
-        w, V = eigh(M, subset_by_index=[size - 1, size - 1])
-    theta = float(w[0])
-    vec = V[:, 0]
-    res = float(np.linalg.norm(A.dot(vec) - theta * vec))
-    return _Solution(theta, vec, res, res <= tol, "dense", size + 1)
-
-
-def _krylov_top(matvec, v0: np.ndarray, tol: float, scale: float) -> _Solution:
-    """Implicitly-restarted Lanczos (ARPACK) plus explicit residual certification.
-
-    ARPACK's stopping rule is relative and internal; convergence here is
-    declared only from our own residual ||A v - theta v|| <= tol, and a
-    pair that misses it is returned unconverged.  With k=1, ARPACK raises
-    ArpackNoConvergence only when no Ritz value converged, and then returns
-    none; the best iterate is then the unit start vector.  Either way theta
-    is a Rayleigh quotient, so even an unconverged pair is a lower bound.
-    """
+    if size <= _DENSE_CUTOFF:
+        w, V = eigh(A.dot(np.eye(size)), subset_by_index=[size - 1, size - 1])
+        theta, vec = float(w[0]), V[:, 0]
+        res = float(np.linalg.norm(A.dot(vec) - theta * vec))
+        return _Solution(theta, vec, res, res <= tol, "dense", size + 1)
+    v0 = v0 / np.linalg.norm(v0)
     mv_count = 0
 
     def counted(x):
         nonlocal mv_count
         mv_count += 1
-        return matvec(np.asarray(x, dtype=np.float64).ravel())
+        return A.dot(np.asarray(x, dtype=np.float64).ravel())
 
-    size = v0.size
-    A = LinearOperator((size, size), matvec=counted, dtype=np.float64)
+    op = LinearOperator((size, size), matvec=counted, dtype=np.float64)
     try:
-        w, V = eigsh(A, k=1, which="LA", v0=v0, ncv=_NCV, maxiter=_MAXITER,
+        w, V = eigsh(op, k=1, which="LA", v0=v0, ncv=_NCV, maxiter=_MAXITER,
                      tol=0.1 * tol / scale)
     except ArpackNoConvergence:
         u = v0 / np.linalg.norm(v0)
-        Au = matvec(u)
+        Au = A.dot(u)
         theta = float(np.dot(u, Au))
     else:
         theta, u = float(w[0]), V[:, 0]
-        Au = matvec(u)
+        Au = A.dot(u)
     res = float(np.linalg.norm(Au - theta * u))
     return _Solution(theta, u, res, res <= tol, "arpack", mv_count + 1)
 
@@ -820,6 +802,7 @@ class TensorGap(NamedTuple):
     rayleigh2: float
 
 
+@_one_blas_thread()
 def tensor_gap(params: PamParams, R: int, tol: float = 1e-10) -> TensorGap:
     """Lower-bound the p=2 exponent from the p=1 eigenfunction f.
 
@@ -832,6 +815,9 @@ def tensor_gap(params: PamParams, R: int, tol: float = 1e-10) -> TensorGap:
     which holds exactly for an exact box eigenfunction (completing the square
     in the y-Laplacian cross term).  Certifies lambda_2 >= lambda_1 + gap on
     the box.  Requires p = 1, and a p=2 box within lattice.MAX_SITES.
+    It runs on one OpenBLAS thread (_one_blas_thread): M.T @ M and the
+    np.dot sums would otherwise split long sums by thread and so move their
+    last bits with the thread count.
     """
     if params.p != 1:
         raise ValueError(f"tensor_gap needs p=1 parameters, got p={params.p}")

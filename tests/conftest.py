@@ -1,11 +1,13 @@
 """Print the BLAS thread settings in the session header, and after the
-summary of a run with failures, because `-q` hides the header.  Dense solves
-run on one OpenBLAS thread whatever the setting is, but ARPACK and numpy's
-products on long vectors still split their sums over its threads, so a last
-bit that moves with it shows which of those to look at.  numpy and scipy
-each bundle their own OpenBLAS, with its own count; ARPACK and scipy.linalg
-run on scipy's, numpy's products on numpy's.  Both counts are read from the
-libraries, so they show what the solvers ran on, not only what was asked."""
+summary of a run with failures, because `-q` hides the header.  Every
+eigensolve, dense or ARPACK, and tensor_gap run on one OpenBLAS thread
+whatever the setting is, but numpy's products elsewhere (lattice.norms and
+grad_sq_grid, the quadrature head's dot) split sums of more than 10,000
+entries over its threads, so a last bit that moves with it shows which of
+those to look at.  numpy and scipy each bundle their own OpenBLAS, with its
+own count; ARPACK and scipy.linalg run on scipy's, numpy's products on
+numpy's.  Both counts are read from the libraries, so they show what the
+solvers ran on, not only what was asked."""
 import os
 
 

@@ -420,12 +420,17 @@ def test_cli_import_leaves_scipy_optimize_out():
 
 
 # the 64-row phase sweep of the phase-certify benchmark (quotient solves of
-# 10 unknowns, dense, and of 255, ARPACK) and a tensor gap on a 289-site box
-# (ARPACK)
+# 10 unknowns, dense, and of 255, ARPACK), tensor gaps on a 289-site box and
+# on a 15,625-site one (its p=2 Rayleigh quotient a dot over 1,953,125
+# sites), a 53,459-orbit ARPACK solve, and the Monte Carlo G_5(0), whose sum
+# of squares over 1M-sample blocks moved with the count while it was a dot
 THREAD_COUNT_COMMANDS = {
     "phase.csv": "phase --d 3 --n 1 --p-values 1,2 --kappas 0.02,0.05,0.08,0.12,0.16,0.2,"
                  "0.25,0.3 --rhos 0.02,0.05,0.1,0.15 --radii 1",
     "gap.json": "tensor-gap --d 1 --n 1 --kappa 0.25 --rho 0.25 --radius 8",
+    "gap3.json": "tensor-gap --d 3 --n 1 --kappa 0.1 --rho 0.1 --radius 2",
+    "box.json": "lambda-spectral --d 3 --n 1 --p 2 --kappa 0.05 --rho 0.1 --radii 3",
+    "green.json": "green --d 5 --method monte-carlo --seed 7 --samples 2000000",
 }
 
 

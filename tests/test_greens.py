@@ -363,6 +363,9 @@ def test_green_zero_validation():
         green_zero(3, tol=0.0)
     with pytest.raises(ValueError):
         green_zero(3, tol=-1e-9)
+    for d in (2, 3):                 # d <= 2 diverges, but the method is checked first
+        with pytest.raises(ValueError, match="unknown method 'bogus'"):
+            green_zero(d, method="bogus")
 
 
 # ---------------------------------------------------------------------------

@@ -387,33 +387,33 @@ def test_sweep_cursor_past_end_of_csv_starts_fresh(tmp_path, monkeypatch,
     assert out.read_bytes() == uninterrupted_bytes
 
 
-def test_sweep_resumed_under_another_blas_thread_count_starts_fresh(
+def test_sweep_resumed_under_another_blas_thread_count_continues(
         tmp_path, monkeypatch, uninterrupted_bytes):
-    # ARPACK's last bits move with scipy's OpenBLAS thread count on large
-    # boxes, so rows computed under two counts must not share one file
+    # no row depends on the BLAS thread count, so the cursor does not key it
+    # and a sweep left under one count continues under another
     out = tmp_path / "grid.csv"
-    with monkeypatch.context() as m:
-        m.setattr(spectral, "_openblas_threads", lambda package: 1)
-        crash_at(m, "row", 3)
-        with pytest.raises(KeyboardInterrupt):
-            crash_sweep(out)
-    with open(str(out) + ".cursor") as fh:
-        assert json.load(fh)["rows_done"] == 2
-    monkeypatch.setattr(spectral, "_openblas_threads", lambda package: 2)
-    rows = crash_sweep(out, resume=True)
-    assert len(rows) == 3
+    setters = [spectral._openblas_set_threads(package) for package in ("scipy", "numpy")]
+    assert None not in setters, "scipy.libs or numpy.libs holds no bundled OpenBLAS"
+    previous = [set_threads(1) for set_threads in setters]
+    try:
+        with monkeypatch.context() as m:
+            crash_at(m, "row", 3)
+            with pytest.raises(KeyboardInterrupt):
+                crash_sweep(out)
+        with open(str(out) + ".cursor") as fh:
+            assert json.load(fh)["rows_done"] == 2
+        for set_threads in setters:
+            set_threads(2)
+        resumed = []
+        real = phase._row_job
+        monkeypatch.setattr(phase, "_row_job", lambda args: resumed.append(args) or real(args))
+        rows = crash_sweep(out, resume=True)
+    finally:
+        for set_threads, count in zip(setters, previous):
+            set_threads(count)
+    assert len(rows) == 1 and len(resumed) == 1
     assert out.read_bytes() == uninterrupted_bytes
     assert not os.path.exists(str(out) + ".cursor")
-
-
-def test_grid_digest_keys_the_blas_thread_count(monkeypatch):
-    jobs = [(1, 1, 1, 0.1, 0.2, (1,), 1e-8)]
-    digests = []
-    for threads in (1, 2, None, 1):
-        monkeypatch.setattr(spectral, "_openblas_threads", lambda package, t=threads: t)
-        digests.append(phase._grid_digest(jobs))
-    # without a bundled OpenBLAS a fixed marker stands in for the count
-    assert len(set(digests)) == 3 and digests[0] == digests[3]
 
 
 def test_sweep_isolates_row_failures(tmp_path, monkeypatch):

@@ -735,6 +735,8 @@ KRYLOV_PINS = [
      (0.45337299389975283, 2.1850130037710184e-15, "arpack", 9409, 42)),
     ("lambda_spectral(PamParams(1, 1, 2, 0.25, 0.25), [64])[-1]",
      (0.4533729938997524, 2.1035497103002212e-15, "arpack", 16641, 42)),
+    ("lambda_spectral(PamParams(3, 1, 2, 0.05, 0.1), [3])[-1]",
+     (0.43405271528996114, 1.1957274477609858e-15, "arpack", 53459, 42)),
 ]
 
 
@@ -742,7 +744,8 @@ KRYLOV_PINS = [
                          ids=["top_eigen-1681-sites", "quotient-801-orbits",
                               "quotient-6325-orbits", "quotient-255-orbits",
                               "quotient-289-orbits", "quotient-461-orbits",
-                              "quotient-9409-orbits", "quotient-16641-orbits"])
+                              "quotient-9409-orbits", "quotient-16641-orbits",
+                              "quotient-53459-orbits"])
 def test_krylov_solves_are_pinned(solve, want):
     est = eval(solve, vars(spectral))
     assert est.converged
@@ -797,8 +800,8 @@ def test_dense_pins_hold_under_each_blas_thread_count(threads):
 @pytest.mark.parametrize("threads", ["1", "2"])
 def test_krylov_pins_hold_under_each_blas_thread_count(threads):
     # ARPACK and the dot products around it run on one thread of each
-    # OpenBLAS up to _ONE_THREAD_CUTOFF (24,649) unknowns, so no pin's last
-    # bits move with the count; unpinned, the 16,641-orbit one would
+    # OpenBLAS at every size, so no pin's last bits move with the count;
+    # unpinned, the 16,641- and 53,459-orbit ones would
     assert pins_in_a_fresh_interpreter(KRYLOV_PINS, threads) == [w for _, w in KRYLOV_PINS]
 
 
@@ -844,9 +847,9 @@ def test_dense_solve_restores_the_blas_thread_count(monkeypatch):
             set_threads(count)
 
 
-def test_arpack_runs_on_one_thread_up_to_the_cutoff(monkeypatch):
-    # the 255- and 16,641-orbit quotients are ARPACK's, on one thread like a
-    # dense solve; the 33,826-orbit full box runs on the caller's count
+def test_arpack_runs_on_one_thread_at_every_size(monkeypatch):
+    # the 255- and 16,641-orbit quotients and the 33,826-orbit full box are
+    # ARPACK's, on one thread like a dense solve
     setters = [spectral._openblas_set_threads(package) for package in ("scipy", "numpy")]
     assert None not in setters, "scipy.libs or numpy.libs holds no bundled OpenBLAS"
     previous = [set_threads(2) for set_threads in setters]
@@ -862,8 +865,7 @@ def test_arpack_runs_on_one_thread_up_to_the_cutoff(monkeypatch):
         lambda_spectral(PamParams(3, 1, 2, 0.05, 0.1), [1])
         lambda_spectral(PamParams(1, 1, 2, 0.25, 0.25), [64])
         top_eigen(PamParams(1, 1, 2, 0.25, 0.25), 25)
-        assert spectral._ONE_THREAD_CUTOFF == 24649
-        assert seen == [(255, 1, 1), (16641, 1, 1), (33826, 2, 2)]
+        assert seen == [(255, 1, 1), (16641, 1, 1), (33826, 1, 1)]
         assert scipy_blas_threads() == 2
     finally:
         for set_threads, count in zip(setters, previous):
@@ -1416,20 +1418,22 @@ def test_quadrature_values_hold_under_each_blas_thread_count(threads):
     # the head of greens._certified_integral sums with np.dot, BLAS ddot,
     # which splits its partial sums by thread once the vectors are long;
     # mu_inverse(3, 0.6) builds the phase-certify sweep's largest node
-    # table, 3,744 nodes at nu_grade = 2^37
+    # table, 3,744 nodes at nu_grade = 2^37, and mu_inverse(1, 1e-6) the
+    # largest found at all, 7,632 nodes: below the 10,000 entries from which
+    # numpy's OpenBLAS splits a dot, so the quadrature runs unpinned
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     code = ("import json; from pamlab import greens, spectral; "
             "gs = [greens.green_zero(3), greens.alpha(5), greens.green_at(3, (1, 2, 3))]; "
             "print(json.dumps([[g.value, g.abs_error] for g in gs] "
             "+ [spectral.mu(3, 0.1), spectral.mu_inverse(3, 0.4), "
-            "spectral.mu_inverse(3, 0.6)]))")
+            "spectral.mu_inverse(3, 0.6), spectral.mu_inverse(1, 1e-6)]))")
     proc = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, timeout=300,
         env=dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads))
     assert proc.returncode == 0, proc.stderr
     gs = [greens.green_zero(3), greens.alpha(5), greens.green_at(3, (1, 2, 3))]
     here = [[g.value, g.abs_error] for g in gs] + [mu(3, 0.1), mu_inverse(3, 0.4),
-                                                   mu_inverse(3, 0.6)]
+                                                   mu_inverse(3, 0.6), mu_inverse(1, 1e-6)]
     assert json.loads(proc.stdout) == here
 
 

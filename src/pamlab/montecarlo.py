@@ -13,35 +13,31 @@ the merged jump epochs; its measure is computed exactly (no time grid).
 Sampling draws p independent X-copies per catalyst draw, which makes the
 product over copies an unbiased estimator of u^p without nested averaging.
 
-A single path is a list of its jump epochs and a list of its positions,
-the start plus one unit step per jump.  `collision_time` takes each
-walker-catalyst pair in plain Python: one sort of the pair's cut points and
-one bisection per side at every piece's midpoint.  `lambda_mc` instead
-stores a block of samples back to back in arrays, and a block's collision
-measures come from a few whole-array numpy operations: one sort of every
-pair's merged cut points, running counts of each path's cuts in that order
-for its position on every piece, and one comparison of position codes per
-piece.  A single call pays no numpy fixed cost; a block of about 4,096
-jumps spreads it over hundreds of samples.  Both routes compute the same
-floats, summed by `math.fsum`, as a piece-by-piece evaluation, so their
-results are the same bit for bit.
+`collision_time` takes each walker-catalyst pair of `JumpPath`s in plain
+Python (`_pair_measure`), paying no numpy fixed cost; `lambda_mc` takes a
+block of samples, stored back to back in arrays, in a few whole-array numpy
+operations (`_collision_measures`), spreading that cost over hundreds of
+samples.  Both sum the same floats by `math.fsum`, so their results are the
+same bit for bit.
 
 Per-sample RNG streams are keyed by (seed, sample index), and the final
 log-sum-exp reduction runs in sample-index order, so results are bit-for-bit
-reproducible for any worker count.  Every path's draws are `_draw`'s: a
-Poisson count, uniform epochs, then axes and signs from two `integers`
-calls.  On Philox, `sample_path` draws the count on the `Generator` and
-reads the rest straight from Philox in one `random_raw` call
-(`_path_words`): a word per epoch, then the words the `integers` calls
-would split into 32-bit halves, decoded in plain Python.  `lambda_mc` reads
-all of a sample's words, its counts' included, in one `random_raw` call and
-decodes a block of samples at once in numpy (`_read_block`): per path the
-words of numpy's Poisson draw (`_poisson_counts`), then its epoch and half
-words as `sample_path` reads them.  Both follow numpy's own rules, so the
-values are `_draw`'s bit for bit; a block holding a half numpy would
-reject, or a Poisson comparison too close to call, is drawn through
-`_draw`.  Weights live in [1, e^{npt}]; everything is accumulated in log
-space with compensated summation.
+reproducible for any worker count.  Every path's draws are `_draw`'s; on
+Philox they are read as raw words and decoded by numpy's own rules, a path
+at a time for `sample_path` (`_path_words`) and a block of samples at once
+for `lambda_mc` (`_read_block`).  Weights live in [1, e^{npt}]; everything
+is accumulated in log space with compensated summation.
+
+`pde_moment_oracle` checks the representation for one fixed catalyst path
+by solving du/ds = kappa*Delta u + xi u on a Dirichlet box, matrix-free, by
+uniformization (Jensen's method; Moler and Van Loan, SIAM Review 45, 2003):
+where xi is constant, A = kappa*Delta + xi = P - qI with q = 2 d kappa and
+P >= 0, and e^{hA} u = e^{-qh} sum_k (hP)^k u / k! (`_uniformize`).  Steps
+of h ||P||_inf <= _STEP_NORM are summed until the Poisson tail, at
+||P||_inf <= q + max xi, is below the unit roundoff.  No term is negative,
+so the error has a certified bound: the tail, carried through later steps
+by e^{h max xi}, plus Higham's relative bound for sums and products of
+non-negative floats (Accuracy and Stability of Numerical Algorithms, ch. 3).
 """
 from __future__ import annotations
 
@@ -49,13 +45,12 @@ import bisect
 import logging
 import math
 import operator
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence, Tuple
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse.linalg import expm_multiply
 from scipy.special import gammaln
 
 from .lattice import build_box
@@ -80,6 +75,10 @@ _BLOCK_JUMPS = 1 << 12
 # PTRS tries read per row and pass: at lam = 10 a try fails with odds of
 # about 0.21, so one pass in about 500 rows ends without a count
 _PTRS_TRIES = 4
+
+# The largest h * ||P||_inf of one uniformization step (`_uniformize`):
+# longer intervals are halved until their steps fit
+_STEP_NORM = 8.0
 
 
 @dataclass(frozen=True)
@@ -618,17 +617,13 @@ def _chunk_logws(args) -> tuple[np.ndarray, int, int]:
     number of jumps drawn and of blocks drawn again.
 
     Sample i's draws are `_draw`'s for its p walkers, then its n catalysts,
-    from a new Philox(key=(seed, i)).  One Philox serves every sample: its
-    key is reset to (seed, i) and the sample's words are read in one
-    `random_raw` call, 6 standard deviations more than its paths read on
-    average (`_words_per_sample`).  A block of samples is decoded at once
-    (`_read_block`): path by path, the words of the count's Poisson draw,
-    the epoch words and the words of the axis and sign halves.  A block
-    with a sample that ran past its words is read again with twice as
-    many.  numpy rejects a half with odds below r / 2^32 and reads another,
-    which moves every later draw; a block holding such a half, or a count
-    that may differ from numpy's, is drawn again through `_draw` and
-    counted as redrawn.
+    from a new Philox(key=(seed, i)).  One Philox serves every sample, its
+    key reset per sample, and reads 6 standard deviations more words than
+    the sample's paths read on average (`_words_per_sample`).  A block of
+    samples is decoded at once (`_read_block`); a block with a sample that
+    ran past its words is read again with twice as many, and a block holding
+    a half numpy would reject, or a count that may differ from numpy's, is
+    drawn again through `_draw` and counted as redrawn.
     """
     params, t, seed, lo, hi = args
     d = params.d
@@ -729,53 +724,96 @@ def lambda_mc(params: PamParams, t: float, samples: int, seed: int,
                       redrawn_blocks=sum(part[2] for part in parts))
 
 
+def _uniformize(apply, v: np.ndarray, h: float, q: float, norm: float, depth: int,
+                err: float = 0.0) -> tuple[np.ndarray, float]:
+    """e^{hA} v for A = P - qI, P >= 0 entrywise and v >= 0, and a bound on
+    its max-norm error given err, that of v.  apply(x, c) is c P x, each
+    entry within depth roundings for an exact c; norm >= ||P||_inf; q may be
+    rounded.  h is cut into 2^j steps, exact in floats.  A step's bound is
+    the incoming one times e^{tau (norm - q)} >= ||e^{tau A}||_inf, plus the
+    tail, ||v||_inf times that factor and twice the computed Poisson tail,
+    plus the rounding, M u / (1 - 2 M u) of the result's max, which covers
+    Higham's gamma_M = M u / (1 - M u) of the exact sum.  Subnormal
+    products, hundreds of orders below the bound, are not counted.
+    """
+    steps = 1 << max(0, math.ceil(math.log2(h * norm / _STEP_NORM))) if h * norm else 1
+    tau = h / steps
+    c = tau * norm
+    # K: the Poisson(c) weights w_k, until w_{K+1} / (1 - c / (K + 2)), a
+    # bound on the tail past K, is below the unit roundoff
+    K, w = 0, math.exp(-c)
+    while (w := w * c / (K + 1)) * (K + 2) > 2.0 ** -53 * (K + 2 - c):
+        K += 1
+    tail = 2.0 * w * (K + 2) / (K + 2 - c)
+    growth, scale = math.exp(tau * (norm - q)), math.exp(-q * tau)
+    # roundings along a term's chain: depth + 1 per term (c = tau / k), one
+    # per addition, 2 q tau + 4 for e^{-q tau} (q and q tau rounded, exp
+    # within an ulp, the product), one for the bound's own arithmetic
+    M = K * (depth + 1) + 1 + math.ceil(2.0 * q * tau) + 5
+    rel = M * 2.0 ** -53 / (1.0 - 2.0 * M * 2.0 ** -53)
+    for _ in range(steps):
+        top, term = float(v.max()), v
+        v = v.copy()
+        for k in range(1, K + 1):
+            term = apply(term, tau / k)
+            v += term
+        v *= scale
+        err = (err + top * tail) * growth + rel * float(v.max())
+    return v, err
+
+
 def pde_moment_oracle(params: PamParams, R: int, t: float,
                       catalyst_paths: Sequence[JumpPath]) -> float:
-    """u(0, t) for one fixed catalyst realization, by direct integration.
+    """u(0, t) for one fixed catalyst realization, by exact-time uniformization.
 
     Solves du/ds = kappa*Delta u + xi(., s) u on the radius-R box (Dirichlet)
-    with u(., 0) = 1 and xi(x, s) = sum_k delta_x(Y_k(s)), using one exact
-    sparse exponential step (expm_multiply) per interval where xi is constant
-    (between catalyst jump epochs), so there is no time discretization.  The
-    caller picks R large enough for the boundary leak (logged as a diagnostic)
-    to be negligible at the desired accuracy.
+    with u(., 0) = 1 and xi(x, s) = sum_k delta_x(Y_k(s)), one interval at a
+    time where xi is constant (between catalyst jump epochs), so there is no
+    time discretization.  P = kappa*Delta + xi + 2 d kappa is applied by
+    slice additions on the grid, so a few box-sized vectors are held, and
+    each interval is cut into steps of h ||P||_inf <= _STEP_NORM, each summed
+    until its Poisson tail is below the unit roundoff (`_uniformize`).  The
+    certified error bound is logged at debug level with the boundary leak;
+    the caller picks R large enough for the leak to be negligible at the
+    desired accuracy.
     """
+    d, kappa = params.d, params.kappa
     if len(catalyst_paths) != params.n:
-        raise ValueError(
-            f"need {params.n} catalyst paths, got {len(catalyst_paths)}")
+        raise ValueError(f"need {params.n} catalyst paths, got {len(catalyst_paths)}")
     if not t >= 0:
         raise ValueError(f"time must be >= 0, got t={t}")
     for path in catalyst_paths:
+        if path.d != d:
+            raise ValueError(f"catalyst paths must have d={d}, got d={path.d}")
         if path.horizon < t:
-            raise ValueError(
-                f"catalyst horizon {path.horizon} shorter than t={t}")
-    d = params.d
+            raise ValueError(f"catalyst horizon {path.horizon} shorter than t={t}")
     box = build_box(d, R)
-    L = box.side
-    lap1 = sparse.diags([np.ones(L - 1), -2.0 * np.ones(L), np.ones(L - 1)],
-                        offsets=[-1, 0, 1], format="csr")
-    # kronsum(A, B) = I (x) A + B (x) I adds B as the new slowest index, so
-    # coordinate 1, the fastest, is the first factor
-    lap = lap1
-    for _ in range(d - 1):
-        lap = sparse.kronsum(lap, lap1, format="csr")
+    faces = [((np.s_[:],) * axis + (np.s_[:-1],), (np.s_[:],) * axis + (np.s_[1:],))
+             for axis in range(d)]
+
+    def apply(x, c):
+        # c P x: kappa times the 2d neighbours (none outside the box), then
+        # the interval's catalyst sites; 2d additions after two roundings
+        y, a = np.zeros(box.shape), (x * (c * kappa)).reshape(box.shape)
+        for lo, hi in faces:
+            y[lo] += a[hi]
+            y[hi] += a[lo]
+        y = y.reshape(-1)
+        y[sites] += (c * weights) * x[sites]
+        return y
 
     cuts = {0.0, t}
     for path in catalyst_paths:
         cuts.update(float(e[0]) for e in path.events if e[0] < t)
     grid = sorted(cuts)
-
-    u = np.ones(box.size)
+    q = 2.0 * d * kappa
+    u, err = np.ones(box.size), 0.0
     for a, b in zip(grid, grid[1:]):
-        mid = 0.5 * (a + b)
-        xi = np.zeros(box.size)
-        for path in catalyst_paths:
-            pos = path.position(mid)
-            if all(abs(c) <= R for c in pos):
-                xi[box.index(pos)] += 1.0
-        A = (params.kappa * lap + sparse.diags(xi)) if params.kappa else sparse.diags(xi)
-        u = expm_multiply(A * (b - a), u)
-    total = float(np.sum(u))
-    logger.debug("pde_moment_oracle: box mass %.6g after t=%g (leak diagnostic)",
-                 total / box.size, t)
+        at = [path.position(0.5 * (a + b)) for path in catalyst_paths]
+        xi = Counter(box.index(pos) for pos in at if all(abs(c) <= R for c in pos))
+        sites, weights = np.array(list(xi), dtype=np.intp), np.array(list(xi.values()), float)
+        u, err = _uniformize(apply, u, b - a, q, q + max(xi.values(), default=0),
+                             2 * d + 2, err)
+    logger.debug("pde_moment_oracle: box mass %.6g after t=%g (leak diagnostic), "
+                 "error bound %r", float(np.sum(u)) / box.size, t, err)
     return float(u[(box.size - 1) // 2])

@@ -688,7 +688,7 @@ def _top_pair(A: sparse.csr_matrix, v0: np.ndarray, tol: float, scale: float) ->
         w, V = eigsh(op, k=1, which="LA", v0=v0, ncv=_NCV, maxiter=_MAXITER,
                      tol=0.1 * tol / scale)
     except ArpackNoConvergence:
-        u = v0 / np.linalg.norm(v0)
+        u = v0
         Au = A.dot(u)
         theta = float(np.dot(u, Au))
     else:

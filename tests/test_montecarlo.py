@@ -4,14 +4,19 @@ The collision oracle here is a midpoint Riemann sum on a fine grid; the
 implementation computes the same measure exactly from the merged jump
 epochs, so the two may differ only near cut points (O(h) per cut).  A second
 oracle is the piece-by-piece exact measure over tuple-built trajectories;
-the array implementation must match it bit for bit.
+the array implementation must match it bit for bit.  The PDE oracle's
+reference is the sparse route it replaced: the kronsum Laplacian and one
+scipy expm_multiply step per interval.
 """
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import sparse
+from scipy.sparse.linalg import expm_multiply
 
 from pamlab import montecarlo
 from pamlab.montecarlo import (
@@ -21,7 +26,8 @@ from pamlab.montecarlo import (
     pde_moment_oracle,
     sample_path,
 )
-from pamlab.spectral import PamParams
+from pamlab.lattice import build_box
+from pamlab.spectral import PamParams, _quotient, _shift
 
 
 def grid_collision(xs, ys, t, h=1e-4):
@@ -488,6 +494,128 @@ def test_pde_refuses_a_nan_time():
     params = PamParams(d=1, n=1, p=1, kappa=0.1, rho=0.1)
     with pytest.raises(ValueError, match="time must be >= 0"):
         pde_moment_oracle(params, R=3, t=math.nan, catalyst_paths=[still()])
+
+
+def test_pde_refuses_catalysts_of_another_dimension():
+    # outside the box at every midpoint, such a catalyst was never looked up
+    params = PamParams(d=3, n=1, p=1, kappa=0.1, rho=0.1)
+    with pytest.raises(ValueError, match="d=3, got d=1"):
+        pde_moment_oracle(params, R=3, t=1.0, catalyst_paths=[still(start=(5,))])
+    with pytest.raises(ValueError, match="d=3, got d=1"):
+        pde_moment_oracle(params, R=3, t=1.0, catalyst_paths=[still()])
+
+
+def expm_oracle(params, R, t, catalyst_paths):
+    """u(0, t) by one expm_multiply step per interval on the kronsum
+    Laplacian plus diag(xi)."""
+    box = build_box(params.d, R)
+    L = box.side
+    lap1 = sparse.diags([np.ones(L - 1), -2.0 * np.ones(L), np.ones(L - 1)],
+                        offsets=[-1, 0, 1], format="csr")
+    lap = lap1
+    for _ in range(params.d - 1):
+        lap = sparse.kronsum(lap, lap1, format="csr")
+    cuts = {0.0, t}
+    for path in catalyst_paths:
+        cuts.update(float(e[0]) for e in path.events if e[0] < t)
+    grid = sorted(cuts)
+    u = np.ones(box.size)
+    for a, b in zip(grid, grid[1:]):
+        xi = np.zeros(box.size)
+        for path in catalyst_paths:
+            pos = path.position(0.5 * (a + b))
+            if all(abs(c) <= R for c in pos):
+                xi[box.index(pos)] += 1.0
+        A = (params.kappa * lap + sparse.diags(xi)) if params.kappa else sparse.diags(xi)
+        u = expm_multiply(A * (b - a), u)
+    return float(u[(box.size - 1) // 2])
+
+
+def pde_with_bound(monkeypatch, params, R, t, catalyst_paths):
+    """pde_moment_oracle's u(0, t) and the certified error bound of its last
+    kernel step, 0 where no interval was stepped."""
+    kernel, bounds = montecarlo._uniformize, [0.0]
+
+    def spy(*args):
+        v, err = kernel(*args)
+        bounds.append(err)
+        return v, err
+
+    with monkeypatch.context() as m:
+        m.setattr(montecarlo, "_uniformize", spy)
+        u = pde_moment_oracle(params, R, t, catalyst_paths)
+    return u, bounds[-1]
+
+
+def assert_matches_expm_oracle(monkeypatch, params, R, t, catalyst_paths):
+    u, err = pde_with_bound(monkeypatch, params, R, t, catalyst_paths)
+    want = expm_oracle(params, R, t, catalyst_paths)
+    assert u == pytest.approx(want, rel=1e-13, abs=0)
+    assert abs(u - want) <= err
+
+
+@pytest.mark.parametrize("kappa", [0.0, 0.3])
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("d,R", [(1, 8), (2, 5), (3, 3)])
+def test_pde_matches_the_expm_oracle(monkeypatch, d, R, n, kappa):
+    params = PamParams(d=d, n=n, p=1, kappa=kappa, rho=0.4)
+    rng = np.random.Generator(np.random.Philox(key=np.array([30, d * n], dtype=np.uint64)))
+    paths = [sample_path(d, 0.4, 2.5, rng) for _ in range(n)]
+    assert_matches_expm_oracle(monkeypatch, params, R, 2.5, paths)
+
+
+@pytest.mark.parametrize("case", ["one site", "leaving", "t=0"])
+def test_pde_edge_cases_match_the_expm_oracle(monkeypatch, case):
+    params = PamParams(d=2, n=2, p=1, kappa=0.3, rho=0.4)
+    if case == "one site":            # xi = 2 at the origin throughout
+        paths, t = [still(d=2), still(d=2)], 1.5
+    elif case == "leaving":           # one catalyst steps out of the box at 0.5
+        out = JumpPath(d=2, start=(0, 3), events=((0.5, 2, 1),), horizon=4.0)
+        paths, t = [out, still(d=2)], 1.5
+    else:
+        paths, t = [still(d=2), still(d=2)], 0.0
+    assert_matches_expm_oracle(monkeypatch, params, 3, t, paths)
+    if t == 0:
+        assert pde_with_bound(monkeypatch, params, 3, t, paths) == (1.0, 0.0)
+
+
+def test_pde_matches_the_expm_oracle_on_the_bench_case(monkeypatch):
+    # the cross-check case of the benchmark's mc-crosscheck workload, seed 0
+    params = PamParams(d=3, n=1, p=1, kappa=0.1, rho=0.1)
+    rng = np.random.Generator(np.random.Philox(key=np.array([0, 10_000], dtype=np.uint64)))
+    assert_matches_expm_oracle(monkeypatch, params, 16, 10.0,
+                               [sample_path(3, 0.1, 10.0, rng)])
+
+
+def test_uniformize_matches_expm_on_a_quotient_operator():
+    # the full-box quotient of d=1, n=p=1: P = L_p + shift >= 0 in csr
+    params = PamParams(d=1, n=1, p=1, kappa=0.25, rho=0.2)
+    q = _quotient(1, 1, 1, 4, False)
+    shift = _shift(params)
+    P = q.operator(params.kappa, params.rho,
+                   q.collisions + (shift - 2.0 * (params.kappa + params.rho)))
+    v, t = np.sqrt(q.sizes.astype(float)), 3.0
+    norm = float(abs(P).sum(axis=1).max()) * (1 + 1e-12)
+    depth = int(np.diff(P.indptr).max()) + 1     # a row's products and sum, then c
+    u, err = montecarlo._uniformize(lambda x, c: P.dot(x) * c, v, t, shift, norm, depth)
+    want = expm_multiply((P - shift * sparse.identity(len(v))) * t, v)
+    assert np.allclose(u, want, rtol=1e-13, atol=0)
+    assert np.abs(u - want).max() <= err
+
+
+def test_pde_oracle_holds_a_few_box_vectors():
+    # the benchmark's d=3, R=16 box has 35,937 sites; the sparse route held
+    # about 64 vectors' worth, for its Laplacian and its expm_multiply steps
+    params = PamParams(d=3, n=1, p=1, kappa=0.1, rho=0.1)
+    rng = np.random.Generator(np.random.Philox(key=np.array([0, 10_000], dtype=np.uint64)))
+    catalyst = sample_path(3, 0.1, 10.0, rng)
+    tracemalloc.start()
+    try:
+        pde_moment_oracle(params, 16, 10.0, [catalyst])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 12 * 8 * 33 ** 3
 
 
 # ---------------------------------------------------------------------------
